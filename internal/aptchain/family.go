@@ -3,7 +3,6 @@ package aptchain
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -132,12 +131,9 @@ func (Family) ParsePlan(raw json.RawMessage) ([]chainmodel.Cell, error) {
 			return nil, fmt.Errorf("axis rho: %w", err)
 		}
 	}
-	size := 1
-	for _, n := range []int{len(ns), len(thetas), len(phis), len(detects), len(rhos)} {
-		if size > math.MaxInt/n {
-			return nil, fmt.Errorf("axis product overflows the grid size")
-		}
-		size *= n
+	size, err := chainmodel.GridSize(len(ns), len(thetas), len(phis), len(detects), len(rhos))
+	if err != nil {
+		return nil, err
 	}
 	cells := make([]chainmodel.Cell, 0, size)
 	for _, n := range ns {
@@ -178,11 +174,7 @@ func (Family) CellKey(cell chainmodel.Cell) string {
 // StateCount implements chainmodel.Family: |Ω| = (n+1)(n+2)/2,
 // saturating instead of overflowing.
 func (Family) StateCount(cell chainmodel.Cell) (int, error) {
-	p := cell.(Params)
-	if p.N >= 1<<30 {
-		return math.MaxInt, nil
-	}
-	return (p.N + 1) * (p.N + 2) / 2, nil
+	return chainmodel.TriangleCount(0, cell.(Params).N), nil
 }
 
 // GroupKey implements chainmodel.Family: the node count pins the state

@@ -13,6 +13,25 @@ import (
 // allocation: a range like "1:4000000000" is rejected, not expanded.
 const MaxAxisPoints = 100_000
 
+// MaxGridCells bounds the cell count of any grid a family's ParsePlan
+// enumerates. Each axis alone is bounded by MaxAxisPoints, but their
+// product is not: five 10^4-point axes would ask for 10^20 cells. Plan
+// parsers size the grid with GridSize before allocating the cell list.
+const MaxGridCells = 1 << 20
+
+// GridSize returns the product of the axis lengths, rejecting a product
+// above MaxGridCells without overflowing on any platform.
+func GridSize(lens ...int) (int, error) {
+	size := 1
+	for _, n := range lens {
+		if n > 0 && size > MaxGridCells/n {
+			return 0, fmt.Errorf("chainmodel: grid exceeds the %d-cell limit", MaxGridCells)
+		}
+		size *= n
+	}
+	return size, nil
+}
+
 // ParseInts parses an integer axis: a comma-separated list ("7,9,12") or
 // an inclusive lo:hi[:step] range ("4:8" is 4,5,6,7,8; "10:50:10" is
 // 10,20,30,40,50). An axis may expand to at most MaxAxisPoints values.

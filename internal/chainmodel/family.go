@@ -3,6 +3,7 @@ package chainmodel
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -49,7 +50,8 @@ type Family interface {
 	// not decimal rounding).
 	CellKey(cell Cell) string
 	// StateCount sizes a cell's state space without building it, so
-	// request limits apply before any allocation.
+	// request limits apply before any allocation. Counts past the
+	// platform int saturate at math.MaxInt instead of wrapping.
 	StateCount(cell Cell) (int, error)
 
 	// GroupKey maps a cell to its shared-structure group: cells with
@@ -77,6 +79,33 @@ type Family interface {
 	// buildPool (nil builds serially; output is bit-identical either
 	// way).
 	Build(shared any, cell Cell, sc matrix.SolverConfig, buildPool *engine.Pool) (Instance, error)
+}
+
+// TriangleCount is (c+1)·(m+1)(m+2)/2: c+1 copies of a triangle of
+// side m+1, the shape of both built-in families' state spaces. It never
+// overflows: counts past the platform int saturate at math.MaxInt, so
+// on 32-bit platforms a space of more than 2^31 states stays above every
+// request limit instead of wrapping negative. Negative c or m count 0.
+func TriangleCount(c, m int) int {
+	if c < 0 || m < 0 {
+		return 0
+	}
+	// uint64 holds every factor exactly; halve the even one of the two
+	// consecutive triangle factors before multiplying.
+	f, a, b := uint64(c)+1, uint64(m)+1, uint64(m)+2
+	if a%2 == 0 {
+		a /= 2
+	} else {
+		b /= 2
+	}
+	const limit = uint64(math.MaxInt)
+	if a > limit/b {
+		return math.MaxInt
+	}
+	if tri := a * b; tri <= limit/f {
+		return int(f * tri)
+	}
+	return math.MaxInt
 }
 
 var (

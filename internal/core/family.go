@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"strconv"
 
 	"targetedattacks/internal/chainmodel"
@@ -116,12 +115,9 @@ func (fam Family) ParsePlan(raw json.RawMessage) ([]chainmodel.Cell, error) {
 			return nil, fmt.Errorf("axis nu: %w", err)
 		}
 	}
-	size := 1
-	for _, n := range []int{len(cs), len(deltas), len(ks), len(mus), len(ds), len(nus)} {
-		if size > math.MaxInt/n {
-			return nil, fmt.Errorf("axis product overflows the grid size")
-		}
-		size *= n
+	size, err := chainmodel.GridSize(len(cs), len(deltas), len(ks), len(mus), len(ds), len(nus))
+	if err != nil {
+		return nil, err
 	}
 	cells := make([]chainmodel.Cell, 0, size)
 	for _, c := range cs {
@@ -188,10 +184,7 @@ func (Family) CellKey(cell chainmodel.Cell) string {
 // limits reject absurd geometries rather than wrap around.
 func (Family) StateCount(cell chainmodel.Cell) (int, error) {
 	p := cell.(Params)
-	if p.C >= 1<<20 || p.Delta >= 1<<20 {
-		return math.MaxInt, nil
-	}
-	return (p.C + 1) * (p.Delta + 1) * (p.Delta + 2) / 2, nil
+	return chainmodel.TriangleCount(p.C, p.Delta), nil
 }
 
 // GroupKey implements chainmodel.Family: the cluster geometry (C, ∆)

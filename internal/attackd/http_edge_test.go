@@ -3,13 +3,12 @@ package attackd
 import (
 	"bytes"
 	"io"
-	"math"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
-	"targetedattacks/internal/core"
+	"targetedattacks/internal/chainmodel"
 )
 
 // TestOversizedBody413: a body past the 1 MiB cap is the client's
@@ -89,35 +88,53 @@ func TestUnknownModel400(t *testing.T) {
 	}
 }
 
-// TestStateCountInt64: |Ω| is computed in int64. C = ∆ = 1600 is the
-// regression geometry — its count overflows 32-bit int (≈ 2.05e9) and
-// used to wrap negative there, sliding under the state limit.
+// TestStateCountInt64: oversized state spaces are refused before
+// anything is built, for both families, and the server stays healthy.
+// C = ∆ = 1600 and n = 60000 are the 32-bit regression cells: their
+// counts (≈ 2.05e9 and 1.8e9) used to wrap negative there and slide
+// under the state limit. The counts themselves are pinned per family in
+// chainmodel's TestFamilyStateCount.
 func TestStateCountInt64(t *testing.T) {
-	if got := stateCount(core.Params{C: 7, Delta: 7}); got != 288 {
-		t.Errorf("stateCount(7,7) = %d, want 288", got)
-	}
-	const c, d = 1701, 1701 // C+1, ∆+1
-	want := int64(c) * (int64(d) * int64(d+1) / 2)
-	if want <= math.MaxInt32 {
-		t.Fatalf("test geometry too small to catch 32-bit overflow: %d", want)
-	}
-	if got := stateCount(core.Params{C: 1700, Delta: 1700}); got != want {
-		t.Errorf("stateCount(1700,1700) = %d, want %d", got, want)
-	}
-	// Far past every cap the count saturates instead of wrapping.
-	if got := stateCount(core.Params{C: math.MaxInt32, Delta: math.MaxInt32}); got != math.MaxInt64 {
-		t.Errorf("stateCount(MaxInt32,MaxInt32) = %d, want saturation at MaxInt64", got)
-	}
-	if got := stateCount(core.Params{C: -5, Delta: -5}); got != 0 {
-		t.Errorf("stateCount(-5,-5) = %d, want 0 for degenerate geometry", got)
-	}
-	// End to end: the absurd geometry is rejected, not wrapped around the
-	// limit.
 	ts := newTestServer(t, Config{})
-	code, msg := postJSON[errorResponse](t, ts.URL+"/v1/analyze",
-		CellRequest{C: 1700, Delta: 1700, K: 1, Mu: 0.2, D: 0.9, Nu: 0.1})
-	if code != http.StatusBadRequest || !strings.Contains(msg.Error, "limit") {
-		t.Errorf("C=∆=1700: status=%d err=%q, want 400 naming the limit", code, msg.Error)
+	for _, body := range []map[string]any{
+		{"c": 1600, "delta": 1600, "k": 1, "mu": 0.2, "d": 0.9, "nu": 0.1},
+		{"c": 1700, "delta": 1700, "k": 1, "mu": 0.2, "d": 0.9, "nu": 0.1},
+		{"model": "apt-compromise", "n": 60000, "theta": 0.5, "phi": 0.4, "detect": 0.7},
+	} {
+		code, msg := postJSON[errorResponse](t, ts.URL+"/v1/analyze", body)
+		if code != http.StatusBadRequest || !strings.Contains(msg.Error, "limit") {
+			t.Errorf("%v: status=%d err=%q, want 400 naming the limit", body, code, msg.Error)
+		}
+	}
+	if code, _ := getJSON[map[string]string](t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Errorf("healthz after refused cells: status=%d", code)
+	}
+}
+
+// TestHugeGridRejected: an axis product past chainmodel.MaxGridCells
+// is refused before its cell list is allocated, on the sweep and job
+// endpoints, and the server stays healthy. The APT body used to crash
+// attackd with an out-of-memory fatal error under a 3 GB address-space
+// cap; the server refuses a MaxCells above the same bound.
+func TestHugeGridRejected(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	body := `{"model":"apt-compromise","n":"8","theta":"0.0001:1:0.0001","phi":"0.0001:1:0.0001","detect":"0.1","rho":"0"}`
+	for _, endpoint := range []string{"/v1/sweep", "/v1/jobs"} {
+		resp, err := http.Post(ts.URL+endpoint, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "cell limit") {
+			t.Errorf("%s: status=%d body=%s, want 400 naming the grid limit", endpoint, resp.StatusCode, msg)
+		}
+	}
+	if code, _ := getJSON[map[string]string](t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Errorf("healthz after the refused grid: status=%d", code)
+	}
+	if _, err := New(Config{MaxCells: chainmodel.MaxGridCells + 1}); err == nil {
+		t.Error("New accepted a MaxCells above chainmodel.MaxGridCells")
 	}
 }
 
@@ -125,25 +142,23 @@ func TestStateCountInt64(t *testing.T) {
 // their ranges are client errors.
 func TestRequestOverrideValidation(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	base := paperCell()
 	cases := []struct {
-		name string
-		mut  func(*CellRequest)
-		want string
+		name, field string
+		value       any
 	}{
-		{"tol too large", func(r *CellRequest) { r.Tol = 0.9 }, "tol"},
-		{"tol below round-off", func(r *CellRequest) { r.Tol = 1e-20 }, "tol"},
-		{"negative max_iter", func(r *CellRequest) { r.MaxIter = -3 }, "max_iter"},
-		{"max_iter too large", func(r *CellRequest) { r.MaxIter = maxRequestIter + 1 }, "max_iter"},
-		{"negative workers", func(r *CellRequest) { r.Workers = -2 }, "workers"},
-		{"workers too large", func(r *CellRequest) { r.Workers = maxRequestWorkers + 1 }, "workers"},
+		{"tol too large", "tol", 0.9},
+		{"tol below round-off", "tol", 1e-20},
+		{"negative max_iter", "max_iter", -3},
+		{"max_iter too large", "max_iter", maxRequestIter + 1},
+		{"negative workers", "workers", -2},
+		{"workers too large", "workers", maxRequestWorkers + 1},
 	}
 	for _, tc := range cases {
-		req := base
-		tc.mut(&req)
+		req := paperCell()
+		req[tc.field] = tc.value
 		code, msg := postJSON[errorResponse](t, ts.URL+"/v1/analyze", req)
-		if code != http.StatusBadRequest || !strings.Contains(msg.Error, tc.want) {
-			t.Errorf("%s: status=%d err=%q, want 400 naming %q", tc.name, code, msg.Error, tc.want)
+		if code != http.StatusBadRequest || !strings.Contains(msg.Error, tc.field) {
+			t.Errorf("%s: status=%d err=%q, want 400 naming %q", tc.name, code, msg.Error, tc.field)
 		}
 	}
 	// The same validation guards the sweep endpoint.
@@ -162,31 +177,31 @@ func TestRequestOverrideValidation(t *testing.T) {
 func TestOverridesEnterCacheKey(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	req := paperCell()
-	req.Tol = 1e-8
+	req["tol"] = 1e-8
 	if code, got := postJSON[AnalyzeResponse](t, ts.URL+"/v1/analyze", req); code != http.StatusOK || got.Cached {
 		t.Fatalf("first tol=1e-8: status=%d cached=%v", code, got.Cached)
 	}
 	if _, got := postJSON[AnalyzeResponse](t, ts.URL+"/v1/analyze", req); !got.Cached {
 		t.Errorf("repeat tol=1e-8 not cached")
 	}
-	req.Tol = 1e-10
+	req["tol"] = 1e-10
 	if _, got := postJSON[AnalyzeResponse](t, ts.URL+"/v1/analyze", req); got.Cached {
 		t.Errorf("tol=1e-10 shared tol=1e-8's cache entry")
 	}
-	req.Tol = 0
-	req.MaxIter = 777
+	delete(req, "tol")
+	req["max_iter"] = 777
 	if _, got := postJSON[AnalyzeResponse](t, ts.URL+"/v1/analyze", req); got.Cached {
 		t.Errorf("max_iter=777 shared the default entry")
 	}
 	// workers stays out of the key: a width-4 request hits the entry a
 	// width-1 request populated.
 	fresh := paperCell()
-	fresh.Sojourns = 2 // distinct from the entries above
-	fresh.Workers = 1
+	fresh["sojourns"] = 2 // distinct from the entries above
+	fresh["workers"] = 1
 	if code, got := postJSON[AnalyzeResponse](t, ts.URL+"/v1/analyze", fresh); code != http.StatusOK || got.Cached {
 		t.Fatalf("workers=1: status=%d cached=%v", code, got.Cached)
 	}
-	fresh.Workers = 4
+	fresh["workers"] = 4
 	code, got := postJSON[AnalyzeResponse](t, ts.URL+"/v1/analyze", fresh)
 	if code != http.StatusOK || !got.Cached {
 		t.Errorf("workers=4: status=%d cached=%v, want a hit on the workers=1 entry", code, got.Cached)
@@ -198,11 +213,11 @@ func TestOverridesEnterCacheKey(t *testing.T) {
 // contract that keeps workers out of the cache key.
 func TestWorkersWidthIndependence(t *testing.T) {
 	ts := newTestServer(t, Config{CacheSize: -1})
-	var analyses []AnalysisDTO
+	var analyses []paperAnalysisDTO
 	for _, workers := range []int{1, 4} {
 		req := paperCell()
-		req.Workers = workers
-		code, got := postJSON[AnalyzeResponse](t, ts.URL+"/v1/analyze", req)
+		req["workers"] = workers
+		code, got := postJSON[paperAnalyzeReply](t, ts.URL+"/v1/analyze", req)
 		if code != http.StatusOK || got.Cached {
 			t.Fatalf("workers=%d: status=%d cached=%v", workers, code, got.Cached)
 		}

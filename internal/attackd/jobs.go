@@ -19,7 +19,7 @@ import (
 )
 
 // The async job API: POST /v1/jobs submits any sweep or simulation-sweep
-// body (including named model families) and returns immediately with a
+// body (of any model family) and returns immediately with a
 // job ID; GET /v1/jobs/{id} polls state and cell-level progress; GET
 // /v1/jobs/{id}/result fetches — or streams, with the usual NDJSON
 // negotiation — the finished set; DELETE /v1/jobs/{id} cancels the
@@ -266,11 +266,11 @@ func newJobID() string {
 }
 
 // evaluationFor routes a job body to the matching evaluation builder by
-// its "kind" field ("sweep" covers named model families via "model").
+// its "kind" field ("sweep" covers every model family via "model").
 func (s *Server) evaluationFor(kind string, body []byte) (*evaluation, error) {
 	switch strings.ToLower(strings.TrimSpace(kind)) {
 	case "", "sweep":
-		return s.sweepEvaluationFromBody(body)
+		return s.analyticEvaluation(body, false)
 	case "simsweep":
 		return s.simSweepEvaluationFromBody(body)
 	default:

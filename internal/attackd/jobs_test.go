@@ -162,14 +162,14 @@ func TestJobLifecycle(t *testing.T) {
 	if code != http.StatusOK || len(list.Jobs) != 1 || list.Jobs[0].ID != sub.ID {
 		t.Fatalf("list = %d %+v", code, list)
 	}
-	code, result := getJSON[SweepResponse](t, ts.URL+"/v1/jobs/"+sub.ID+"/result")
+	code, result := getJSON[paperSweepReply](t, ts.URL+"/v1/jobs/"+sub.ID+"/result")
 	if code != http.StatusOK || len(result.Cells) != 4 || result.Cached {
 		t.Fatalf("result: status=%d cells=%d cached=%v", code, len(result.Cells), result.Cached)
 	}
 	// The synchronous endpoint now hits the cache the job populated.
 	body := jobSweepBody()
 	delete(body, "kind")
-	code, direct := postJSON[SweepResponse](t, ts.URL+"/v1/sweep", body)
+	code, direct := postJSON[paperSweepReply](t, ts.URL+"/v1/sweep", body)
 	if code != http.StatusOK || !direct.Cached {
 		t.Fatalf("sweep after job: status=%d cached=%v, want 200/true", code, direct.Cached)
 	}

@@ -4,24 +4,26 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 
 	"targetedattacks/internal/chainmodel"
-	"targetedattacks/internal/engine"
+	"targetedattacks/internal/core"
 	"targetedattacks/internal/matrix"
 	"targetedattacks/internal/obs"
 	"targetedattacks/internal/sweep"
 )
 
-// This file is the model-agnostic serving path: /v1/analyze and
-// /v1/sweep requests naming a non-default "model" are routed here. The
-// selected family parses its own parameters out of the raw request body
-// (the shared fields — distribution, sojourns, solver — stay the
-// handler's), and results are rendered in the model-free vocabulary of
-// chainmodel.Analysis. The default family keeps its historical
-// specialized responses for wire compatibility.
+// This file is the analytic serving path of every registered model
+// family: /v1/analyze, /v1/sweep and sweep jobs. The selected family
+// parses its own cell or grid out of the raw request body (the shared
+// fields of CellRequest stay the handler's) and sizes every cell before
+// anything is built. The amortized evaluator then runs the cells; an
+// analysis is a one-cell grid, so attackd enters the analytic engine
+// through sweep.EvaluateModel alone. Responses are rendered in the
+// family's wire vocabulary by wireCell.
 
 // ModelAnalysisDTO is the wire form of a chainmodel.Analysis: subset A
 // is the family's "good" transient set, subset B its "bad" one.
@@ -34,61 +36,81 @@ type ModelAnalysisDTO struct {
 	HitProbability float64            `json:"hit_probability"`
 }
 
-// ModelAnalyzeResponse is the /v1/analyze response body for non-default
-// model families.
-type ModelAnalyzeResponse struct {
-	Model        string           `json:"model"`
-	Params       any              `json:"params"`
-	Distribution string           `json:"distribution"`
-	Sojourns     int              `json:"sojourns"`
-	States       int              `json:"states"`
-	Solver       string           `json:"solver"`
-	Analysis     ModelAnalysisDTO `json:"analysis"`
-	// Cached and Shared report the response's provenance, as in
-	// AnalyzeResponse.
-	Cached bool `json:"cached"`
-	Shared bool `json:"shared,omitempty"`
-	// Timings is the opt-in per-stage breakdown, as in AnalyzeResponse.
-	Timings *TimingsDTO `json:"timings,omitempty"`
+// paperParamsDTO is a paper-model cell in the paper wire vocabulary:
+// core.Params plus the analysis options.
+type paperParamsDTO struct {
+	C            int     `json:"c"`
+	Delta        int     `json:"delta"`
+	K            int     `json:"k"`
+	Mu           float64 `json:"mu"`
+	D            float64 `json:"d"`
+	Nu           float64 `json:"nu"`
+	Distribution string  `json:"distribution"`
+	Sojourns     int     `json:"sojourns"`
 }
 
-// ModelSweepCellDTO is one cell of a non-default-family /v1/sweep
-// response.
-type ModelSweepCellDTO struct {
-	Index      int              `json:"index"`
-	Params     any              `json:"params"`
-	States     int              `json:"states"`
-	Transient  int              `json:"transient"`
-	Shared     bool             `json:"shared"`
-	Iterations int64            `json:"iterations,omitempty"`
-	Analysis   ModelAnalysisDTO `json:"analysis"`
+// paperAnalysisDTO is a chainmodel.Analysis of the paper model in the
+// paper wire vocabulary: A is the safe subset, B the polluted one.
+type paperAnalysisDTO struct {
+	ExpectedSafeTime     float64            `json:"expected_safe_time"`
+	ExpectedPollutedTime float64            `json:"expected_polluted_time"`
+	SafeSojourns         []float64          `json:"safe_sojourns"`
+	PollutedSojourns     []float64          `json:"polluted_sojourns"`
+	Absorption           map[string]float64 `json:"absorption"`
+	PollutionProbability float64            `json:"pollution_probability"`
 }
 
-// ModelSweepResponse is the /v1/sweep response body for non-default
-// model families.
-type ModelSweepResponse struct {
-	Model        string              `json:"model"`
-	Distribution string              `json:"distribution"`
-	Sojourns     int                 `json:"sojourns"`
-	Cells        []ModelSweepCellDTO `json:"cells"`
-	Groups       int                 `json:"groups"`
-	Evaluated    int                 `json:"evaluated"`
-	Iterations   int64               `json:"iterations,omitempty"`
-	Solver       string              `json:"solver"`
-	Cached       bool                `json:"cached"`
-	Shared       bool                `json:"shared,omitempty"`
-	Timings      *TimingsDTO         `json:"timings,omitempty"`
+// wireHeader holds the top-level model, distribution and sojourns
+// fields of a family's responses.
+type wireHeader struct {
+	model, dist string
+	sojourns    int
 }
 
-func modelAnalysisDTO(a *chainmodel.Analysis) ModelAnalysisDTO {
-	return ModelAnalysisDTO{
-		TimeInA:        a.TimeInA,
-		TimeInB:        a.TimeInB,
-		SojournsA:      a.SojournsA,
-		SojournsB:      a.SojournsB,
-		Absorption:     a.Absorption,
-		HitProbability: a.HitProbability,
+// wireCell renders one evaluated cell, and the header of the responses
+// carrying it, in its family's wire vocabulary. A family's cell is its
+// CellDTO with a ModelAnalysisDTO, under a header naming the model,
+// distribution and sojourns. The paper model keeps the vocabulary
+// attackd served before model families existed: no header, params that
+// carry the distribution and sojourns, an analysis of safe and polluted
+// time, and the count of states where Rule 1 fires at the cell's ν.
+func wireCell(fam chainmodel.Family, mc sweep.ModelCellResult, dist string, sojourns int) (wireHeader, SweepCellDTO) {
+	c := SweepCellDTO{
+		Index:      mc.Index,
+		States:     mc.States,
+		Transient:  mc.Transient,
+		Shared:     mc.Shared,
+		Iterations: mc.Iterations,
 	}
+	a := mc.Analysis
+	if fam.Name() != chainmodel.DefaultFamily {
+		c.Params = fam.CellDTO(mc.Cell)
+		c.Analysis = ModelAnalysisDTO{
+			TimeInA:        a.TimeInA,
+			TimeInB:        a.TimeInB,
+			SojournsA:      a.SojournsA,
+			SojournsB:      a.SojournsB,
+			Absorption:     a.Absorption,
+			HitProbability: a.HitProbability,
+		}
+		return wireHeader{model: fam.Name(), dist: dist, sojourns: sojourns}, c
+	}
+	p := mc.Cell.(core.Params)
+	fires := mc.SharedTables.(*core.SweepTables).Gains(p.K).CountFires(p.Nu)
+	c.Params = paperParamsDTO{
+		C: p.C, Delta: p.Delta, K: p.K, Mu: p.Mu, D: p.D, Nu: p.Nu,
+		Distribution: dist, Sojourns: sojourns,
+	}
+	c.Analysis = paperAnalysisDTO{
+		ExpectedSafeTime:     a.TimeInA,
+		ExpectedPollutedTime: a.TimeInB,
+		SafeSojourns:         a.SojournsA,
+		PollutedSojourns:     a.SojournsB,
+		Absorption:           a.Absorption,
+		PollutionProbability: a.HitProbability,
+	}
+	c.Rule1Fires = &fires
+	return wireHeader{}, c
 }
 
 // sojournCount clamps and bounds the per-request sojourn count.
@@ -103,29 +125,30 @@ func (s *Server) sojournCount(requested int) (int, error) {
 }
 
 // checkStateCount bounds one cell's state space before any allocation.
-func (s *Server) checkStateCount(fam chainmodel.Family, cell chainmodel.Cell) (int, error) {
+func (s *Server) checkStateCount(fam chainmodel.Family, cell chainmodel.Cell) error {
 	states, err := fam.StateCount(cell)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if states > s.maxStates {
-		return 0, fmt.Errorf("cell %s has %d states, server limit is %d", fam.CellKey(cell), states, s.maxStates)
+		return fmt.Errorf("cell %v has %d states, server limit is %d", cell, states, s.maxStates)
 	}
-	return states, nil
+	return nil
 }
 
-// modelCellKey is the canonical cache/singleflight key of one
-// non-default-family cell request. The family's CellKey renders the
-// parameters exactly (hex floats), so value-equal requests share a key.
+// modelCellKey is the canonical cache/singleflight key of one cell
+// request. The family's CellKey renders the parameters exactly (hex
+// floats), so value-equal requests share a key, and the model name
+// leads the key, so no two families can collide.
 func modelCellKey(fam chainmodel.Family, cell chainmodel.Cell, dist string, sojourns int, solver matrix.SolverConfig) string {
 	return fmt.Sprintf("cell|m=%s|%s|a=%s|n=%d|s=%s|tol=%s|it=%d",
 		fam.Name(), fam.CellKey(cell), dist, sojourns, solver.Kind,
 		strconv.FormatFloat(solver.Tol, 'x', -1, 64), solver.MaxIter)
 }
 
-// modelPlanKey canonicalizes a non-default-family sweep for caching:
-// the joined per-cell keys can run long for big grids, so they are
-// hashed (the model name and options stay in the clear for debugging).
+// modelPlanKey canonicalizes a sweep for caching: the joined per-cell
+// keys can run long for big grids, so they are hashed (the model name
+// and options stay in the clear for debugging).
 func modelPlanKey(fam chainmodel.Family, cells []chainmodel.Cell, dist string, sojourns int, solver matrix.SolverConfig) string {
 	h := sha256.New()
 	for _, cell := range cells {
@@ -137,127 +160,73 @@ func modelPlanKey(fam chainmodel.Family, cells []chainmodel.Cell, dist string, s
 		strconv.FormatFloat(solver.Tol, 'x', -1, 64), solver.MaxIter)
 }
 
-// handleModelAnalyze serves /v1/analyze for a non-default family. The
-// raw body is handed to the family's cell parser; req carries the
-// shared fields already decoded.
-func (s *Server) handleModelAnalyze(w http.ResponseWriter, r *http.Request, endpoint string, fam chainmodel.Family, body []byte, req CellRequest) {
-	cell, err := fam.ParseCell(body)
-	if err != nil {
-		s.writeError(w, r, endpoint, http.StatusBadRequest, err)
-		return
-	}
-	dist, err := fam.ParseDist(req.Distribution)
-	if err != nil {
-		s.writeError(w, r, endpoint, http.StatusBadRequest, err)
-		return
-	}
-	sojourns, err := s.sojournCount(req.Sojourns)
-	if err != nil {
-		s.writeError(w, r, endpoint, http.StatusBadRequest, err)
-		return
-	}
-	if _, err := s.checkStateCount(fam, cell); err != nil {
-		s.writeError(w, r, endpoint, http.StatusBadRequest, err)
-		return
-	}
-	solver, err := s.requestSolver(req.Solver, req.Tol, req.MaxIter)
-	if err != nil {
-		s.writeError(w, r, endpoint, http.StatusBadRequest, err)
-		return
-	}
-	pool, err := s.requestPool(req.Workers)
-	if err != nil {
-		s.writeError(w, r, endpoint, http.StatusBadRequest, err)
-		return
-	}
-	key := modelCellKey(fam, cell, dist, sojourns, solver)
-	// timings snapshots the request's trace at delivery time when the
-	// request opted in; cached values stay timing-free.
-	timings := func() *TimingsDTO {
-		if !req.Timings {
-			return nil
-		}
-		return timingsFromTrace(obs.TraceFromContext(r.Context()))
-	}
-	cacheSpan, _ := obs.StartSpan(r.Context(), "cache")
-	cached, hit := s.cache.Get(key)
-	cacheSpan.End()
-	if hit {
-		s.metrics.cacheHits.Add(1)
-		resp := cached.(ModelAnalyzeResponse)
-		resp.Cached = true
-		resp.Timings = timings()
-		s.writeJSON(w, r, endpoint, http.StatusOK, resp)
-		return
-	}
-	ctx := obs.Detach(r.Context())
-	val, err, shared := s.flights.Do(key, func() (any, error) {
-		// Leader-only miss accounting, as in handleAnalyze.
-		s.metrics.cacheMisses.Add(1)
-		s.metrics.inflight.Add(1)
-		defer s.metrics.inflight.Add(-1)
-		s.metrics.evaluation(fam.Name())
-		buildSpan, _ := obs.StartSpan(ctx, "build")
-		tables, err := fam.NewShared([]chainmodel.Cell{cell})
-		if err != nil {
-			buildSpan.End()
-			return nil, err
-		}
-		inst, err := fam.Build(tables, cell, solver, pool)
-		buildSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		solveSpan, _ := obs.StartSpan(ctx, "solve")
-		a, err := chainmodel.Analyze(inst, dist, sojourns)
-		if err != nil {
-			solveSpan.End()
-			return nil, err
-		}
-		solveSpan.SetAttr("backend", a.Solver.Backend)
-		solveSpan.SetAttrInt("iterations", a.Solver.Iterations)
-		solveSpan.End()
-		s.metrics.solve(a.Solver)
-		resp := ModelAnalyzeResponse{
-			Model:        fam.Name(),
-			Params:       fam.CellDTO(cell),
-			Distribution: dist,
-			Sojourns:     sojourns,
-			States:       inst.NumStates(),
-			Solver:       solver.Kind,
-			Analysis:     modelAnalysisDTO(a),
-		}
-		s.cache.Put(key, resp, analysisWeight(sojourns))
-		return resp, nil
-	})
-	if shared {
-		s.metrics.singleflightShared.Add(1)
-	}
-	if err != nil {
-		s.writeError(w, r, endpoint, http.StatusInternalServerError, err)
-		return
-	}
-	resp := val.(ModelAnalyzeResponse)
-	resp.Shared = shared
-	resp.Timings = timings()
-	s.writeJSON(w, r, endpoint, http.StatusOK, resp)
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	s.handleAnalytic(w, r, "/v1/analyze", true)
 }
 
-// modelSweepEvaluation prepares a non-default-family grid evaluation:
-// the family parses its own grid out of the raw body and the
-// model-agnostic amortized evaluator runs it with warm-start lanes.
-// Buffered, streamed and async-job serving all go through the returned
-// evaluation.
-func (s *Server) modelSweepEvaluation(fam chainmodel.Family, body []byte, req SweepRequest, solver matrix.SolverConfig, pool *engine.Pool) (*evaluation, error) {
-	cells, err := fam.ParsePlan(body)
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	s.handleAnalytic(w, r, "/v1/sweep", false)
+}
+
+// handleAnalytic serves one analytic request: a cell on /v1/analyze
+// (always buffered), a grid on /v1/sweep (buffered or streamed).
+func (s *Server) handleAnalytic(w http.ResponseWriter, r *http.Request, endpoint string, single bool) {
+	if !s.requireMethod(w, r, endpoint, http.MethodPost) {
+		return
+	}
+	parseSpan, _ := obs.StartSpan(r.Context(), "parse")
+	body, ok := s.readBody(w, r, endpoint)
+	if !ok {
+		parseSpan.End()
+		return
+	}
+	ev, err := s.analyticEvaluation(body, single)
+	parseSpan.End()
+	if err != nil {
+		s.writeError(w, r, endpoint, http.StatusBadRequest, err)
+		return
+	}
+	s.serveEvaluation(w, r, endpoint, ev, !single && wantsStream(r))
+}
+
+// analyticEvaluation parses, bounds and prepares an analytic request
+// body into a runnable evaluation: one cell rendered as an
+// AnalyzeResponse when single is set, otherwise a grid rendered as a
+// SweepResponse. Every error is the client's.
+func (s *Server) analyticEvaluation(body []byte, single bool) (*evaluation, error) {
+	var req CellRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, fmt.Errorf("decoding request: %w", err)
+	}
+	fam, err := resolveFamily(req.Model)
 	if err != nil {
 		return nil, err
 	}
-	if len(cells) > s.maxCells {
-		return nil, fmt.Errorf("grid has %d cells, server limit is %d", len(cells), s.maxCells)
+	solver, err := s.requestSolver(req.Solver, req.Tol, req.MaxIter)
+	if err != nil {
+		return nil, err
+	}
+	pool, err := s.requestPool(req.Workers)
+	if err != nil {
+		return nil, err
+	}
+	var cells []chainmodel.Cell
+	if single {
+		cell, err := fam.ParseCell(body)
+		if err != nil {
+			return nil, err
+		}
+		cells = []chainmodel.Cell{cell}
+	} else {
+		if cells, err = fam.ParsePlan(body); err != nil {
+			return nil, err
+		}
+		if len(cells) > s.maxCells {
+			return nil, fmt.Errorf("grid has %d cells, server limit is %d", len(cells), s.maxCells)
+		}
 	}
 	for _, cell := range cells {
-		if _, err := s.checkStateCount(fam, cell); err != nil {
+		if err := s.checkStateCount(fam, cell); err != nil {
 			return nil, err
 		}
 	}
@@ -272,10 +241,14 @@ func (s *Server) modelSweepEvaluation(fam chainmodel.Family, body []byte, req Sw
 	ev := &evaluation{
 		kind:    "sweep",
 		model:   fam.Name(),
-		key:     modelPlanKey(fam, cells, dist, sojourns, solver),
 		cells:   len(cells),
 		solver:  solver.Kind,
 		timings: req.Timings,
+	}
+	if single {
+		ev.key = modelCellKey(fam, cells[0], dist, sojourns, solver)
+	} else {
+		ev.key = modelPlanKey(fam, cells, dist, sojourns, solver)
 	}
 	ev.run = func(ctx context.Context, onCell func(any)) (any, error) {
 		s.metrics.inflight.Add(1)
@@ -283,8 +256,14 @@ func (s *Server) modelSweepEvaluation(fam chainmodel.Family, body []byte, req Sw
 		s.metrics.evaluation(fam.Name())
 		var cb func(sweep.ModelCellResult)
 		if onCell != nil {
-			cb = func(mc sweep.ModelCellResult) { onCell(modelSweepCellDTO(fam, mc)) }
+			cb = func(mc sweep.ModelCellResult) {
+				_, c := wireCell(fam, mc, dist, sojourns)
+				onCell(c)
+			}
 		}
+		// Warm starting is always on: serving-grid lanes chain
+		// neighboring cells' solves, and the results stay worker-count
+		// independent.
 		rs, err := sweep.EvaluateModel(ctx, sweep.ModelPlan{
 			Family:   fam,
 			Cells:    cells,
@@ -300,41 +279,57 @@ func (s *Server) modelSweepEvaluation(fam chainmodel.Family, body []byte, req Sw
 		if err != nil {
 			return nil, err
 		}
-		resp := ModelSweepResponse{
-			Model:        fam.Name(),
-			Distribution: dist,
-			Sojourns:     sojourns,
-			Cells:        make([]ModelSweepCellDTO, len(rs.Cells)),
+		var hdr wireHeader
+		wire := make([]SweepCellDTO, len(rs.Cells))
+		for i, mc := range rs.Cells {
+			hdr, wire[i] = wireCell(fam, mc, dist, sojourns)
+			if !mc.Shared {
+				s.metrics.solve(mc.Analysis.Solver)
+			}
+		}
+		var resp any = SweepResponse{
+			Model:        hdr.model,
+			Distribution: hdr.dist,
+			Sojourns:     hdr.sojourns,
+			Cells:        wire,
 			Groups:       rs.Groups,
 			Evaluated:    rs.Evaluated,
 			Iterations:   rs.Iterations,
 			Solver:       solver.Kind,
 		}
-		for i, cell := range rs.Cells {
-			resp.Cells[i] = modelSweepCellDTO(fam, cell)
-			if !cell.Shared {
-				s.metrics.solve(cell.Analysis.Solver)
+		if single {
+			resp = AnalyzeResponse{
+				Model:        hdr.model,
+				Params:       wire[0].Params,
+				Distribution: hdr.dist,
+				Sojourns:     hdr.sojourns,
+				States:       wire[0].States,
+				Solver:       solver.Kind,
+				Analysis:     wire[0].Analysis,
 			}
 		}
 		s.cache.Put(ev.key, resp, int64(len(rs.Cells))*analysisWeight(sojourns))
 		return resp, nil
 	}
+	ev.finish = func(val any, cached, shared bool, tm *TimingsDTO) any {
+		if resp, ok := val.(AnalyzeResponse); ok {
+			resp.Cached, resp.Shared, resp.Timings = cached, shared, tm
+			return resp
+		}
+		resp := val.(SweepResponse)
+		resp.Cached, resp.Shared, resp.Timings = cached, shared, tm
+		return resp
+	}
 	ev.cellsOf = func(val any) []any {
-		resp := val.(ModelSweepResponse)
+		resp := val.(SweepResponse)
 		out := make([]any, len(resp.Cells))
 		for i, c := range resp.Cells {
 			out[i] = c
 		}
 		return out
 	}
-	ev.finish = func(val any, cached, shared bool, tm *TimingsDTO) any {
-		resp := val.(ModelSweepResponse)
-		resp.Cached, resp.Shared = cached, shared
-		resp.Timings = tm
-		return resp
-	}
 	ev.summarize = func(val any, cached, shared bool, tm *TimingsDTO) StreamSummary {
-		resp := val.(ModelSweepResponse)
+		resp := val.(SweepResponse)
 		return StreamSummary{
 			Cells:      len(resp.Cells),
 			Groups:     resp.Groups,
@@ -348,18 +343,4 @@ func (s *Server) modelSweepEvaluation(fam chainmodel.Family, body []byte, req Sw
 		}
 	}
 	return ev, nil
-}
-
-// modelSweepCellDTO is the wire form of one evaluated model cell,
-// shared by the buffered response and the NDJSON stream.
-func modelSweepCellDTO(fam chainmodel.Family, cell sweep.ModelCellResult) ModelSweepCellDTO {
-	return ModelSweepCellDTO{
-		Index:      cell.Index,
-		Params:     fam.CellDTO(cell.Cell),
-		States:     cell.States,
-		Transient:  cell.Transient,
-		Shared:     cell.Shared,
-		Iterations: cell.Iterations,
-		Analysis:   modelAnalysisDTO(cell.Analysis),
-	}
 }

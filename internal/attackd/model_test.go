@@ -23,13 +23,30 @@ func aptCellBody() map[string]any {
 	}
 }
 
+// modelAnalyzeReply decodes a /v1/analyze body of a family answering
+// in the model-free vocabulary: the typed analysis shadows the generic
+// AnalyzeResponse field.
+type modelAnalyzeReply struct {
+	AnalyzeResponse
+	Analysis ModelAnalysisDTO `json:"analysis"`
+}
+
+// modelSweepReply decodes a /v1/sweep body of such a family.
+type modelSweepReply struct {
+	SweepResponse
+	Cells []struct {
+		SweepCellDTO
+		Analysis ModelAnalysisDTO `json:"analysis"`
+	} `json:"cells"`
+}
+
 // TestModelAnalyzeAPT: a request naming the second family routes to the
 // generic path and matches a direct aptchain analysis bit for bit.
 func TestModelAnalyzeAPT(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	body := aptCellBody()
 	body["sojourns"] = 2
-	code, got := postJSON[ModelAnalyzeResponse](t, ts.URL+"/v1/analyze", body)
+	code, got := postJSON[modelAnalyzeReply](t, ts.URL+"/v1/analyze", body)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
@@ -54,13 +71,13 @@ func TestModelAnalyzeAPT(t *testing.T) {
 		t.Errorf("absorption over HTTP %v, direct %v", got.Analysis.Absorption, want.Absorption)
 	}
 	// Second identical request must come from the cache.
-	code, again := postJSON[ModelAnalyzeResponse](t, ts.URL+"/v1/analyze", body)
+	code, again := postJSON[modelAnalyzeReply](t, ts.URL+"/v1/analyze", body)
 	if code != http.StatusOK || !again.Cached {
 		t.Errorf("repeat request: status=%d cached=%v, want 200/true", code, again.Cached)
 	}
 	// The blitz distribution is a distinct cache identity.
 	body["distribution"] = "blitz"
-	code, blitz := postJSON[ModelAnalyzeResponse](t, ts.URL+"/v1/analyze", body)
+	code, blitz := postJSON[modelAnalyzeReply](t, ts.URL+"/v1/analyze", body)
 	if code != http.StatusOK || blitz.Cached || blitz.Distribution != aptchain.DistBlitz {
 		t.Errorf("blitz: status=%d cached=%v dist=%q", code, blitz.Cached, blitz.Distribution)
 	}
@@ -104,7 +121,7 @@ func TestModelSweepAPT(t *testing.T) {
 		"model": "apt-compromise",
 		"n":     "6", "theta": "0.5", "phi": "0.4", "rho": "0,0.2,0.4", "detect": "0.6,0.8",
 	}
-	code, got := postJSON[ModelSweepResponse](t, ts.URL+"/v1/sweep", req)
+	code, got := postJSON[modelSweepReply](t, ts.URL+"/v1/sweep", req)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
@@ -129,7 +146,7 @@ func TestModelSweepAPT(t *testing.T) {
 		t.Fatal(err)
 	}
 	params = aptchain.Params{N: f.N, Theta: f.Theta, Phi: f.Phi, Rho: f.Rho, Detect: f.Detect}
-	code, single := postJSON[ModelAnalyzeResponse](t, ts.URL+"/v1/analyze", map[string]any{
+	code, single := postJSON[modelAnalyzeReply](t, ts.URL+"/v1/analyze", map[string]any{
 		"model": "apt-compromise",
 		"n":     params.N, "theta": params.Theta, "phi": params.Phi, "rho": params.Rho, "detect": params.Detect,
 	})
@@ -140,7 +157,7 @@ func TestModelSweepAPT(t *testing.T) {
 		t.Errorf("sweep cell 0 E(T_A)=%v, analyze=%v", got.Cells[0].Analysis.TimeInA, single.Analysis.TimeInA)
 	}
 	// Repeat: whole-grid cache hit.
-	code, again := postJSON[ModelSweepResponse](t, ts.URL+"/v1/sweep", req)
+	code, again := postJSON[modelSweepReply](t, ts.URL+"/v1/sweep", req)
 	if code != http.StatusOK || !again.Cached {
 		t.Errorf("repeat sweep: status=%d cached=%v", code, again.Cached)
 	}
@@ -169,7 +186,7 @@ func TestModelCacheKeysDisjoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("paper analyze status = %d", code)
 	}
-	code, apt := postJSON[ModelAnalyzeResponse](t, ts.URL+"/v1/analyze", aptCellBody())
+	code, apt := postJSON[modelAnalyzeReply](t, ts.URL+"/v1/analyze", aptCellBody())
 	if code != http.StatusOK || apt.Cached {
 		t.Fatalf("apt analyze: status=%d cached=%v, want a fresh evaluation", code, apt.Cached)
 	}

@@ -89,7 +89,7 @@ func TestTraceparentPropagates(t *testing.T) {
 
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
 	req := paperCell()
-	req.Timings = true
+	req["timings"] = true
 	got, echoed := postTraced[AnalyzeResponse](t, ts.URL+"/v1/analyze", "00-"+traceID+"-00f067aa0ba902b7-01", req)
 	if got.Timings == nil {
 		t.Fatal("timings requested but absent from response")
@@ -118,7 +118,7 @@ func TestTraceparentPropagates(t *testing.T) {
 func TestFreshTraceIDsAreValidAndDistinct(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	req := paperCell()
-	req.Timings = true
+	req["timings"] = true
 	seen := make(map[string]bool)
 	for i := 0; i < 4; i++ {
 		got, echoed := postTraced[AnalyzeResponse](t, ts.URL+"/v1/analyze", "", req)
@@ -200,14 +200,14 @@ func TestJobInheritsTraceID(t *testing.T) {
 // latency histogram on /metrics, to within 10%.
 func TestTimingsSumMatchesHistogram(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	req := SweepRequest{
-		C: "7", Delta: "7", K: "1",
+	req := map[string]any{
+		"c": "7", "delta": "7", "k": "1",
 		// 50 compute-heavy cells, sequentially on one worker, so the
 		// traced stages dominate the request and untraced gaps (goroutine
 		// handoff, DTO assembly) stay well under the 10% band.
-		Mu: "0.05:0.5:0.05", D: "0.5:0.9:0.1", Nu: "0.1",
-		Workers: 1,
-		Timings: true,
+		"mu": "0.05:0.5:0.05", "d": "0.5:0.9:0.1", "nu": "0.1",
+		"workers": 1,
+		"timings": true,
 	}
 	code, got := postJSON[SweepResponse](t, ts.URL+"/v1/sweep", req)
 	if code != http.StatusOK {
@@ -252,7 +252,7 @@ func TestTimingsSumMatchesHistogram(t *testing.T) {
 
 func TestTimingsOmittedByDefaultAndCacheStaysClean(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	req := SweepRequest{C: "7", Delta: "7", K: "1", Mu: "0.2", D: "0.9", Nu: "0.1"}
+	req := map[string]any{"c": "7", "delta": "7", "k": "1", "mu": "0.2", "d": "0.9", "nu": "0.1"}
 
 	code, plain := postJSON[SweepResponse](t, ts.URL+"/v1/sweep", req)
 	if code != http.StatusOK || plain.Timings != nil {
@@ -260,7 +260,7 @@ func TestTimingsOmittedByDefaultAndCacheStaysClean(t *testing.T) {
 	}
 	// The same grid with timings opted in must hit the cache (the flag
 	// stays out of the key) and still get a fresh breakdown.
-	req.Timings = true
+	req["timings"] = true
 	code, timed := postJSON[SweepResponse](t, ts.URL+"/v1/sweep", req)
 	if code != http.StatusOK || !timed.Cached {
 		t.Fatalf("timed repeat: status=%d cached=%v, want a cache hit", code, timed.Cached)
@@ -273,7 +273,7 @@ func TestTimingsOmittedByDefaultAndCacheStaysClean(t *testing.T) {
 	}
 	// And a third untimed request must not inherit the second's timings
 	// through the cache.
-	req.Timings = false
+	req["timings"] = false
 	code, again := postJSON[SweepResponse](t, ts.URL+"/v1/sweep", req)
 	if code != http.StatusOK || again.Timings != nil {
 		t.Fatalf("third request: status=%d timings=%v, want cached reply without timings", code, again.Timings)
@@ -335,7 +335,7 @@ func TestMetricsExpositionSelfCheck(t *testing.T) {
 	if code, _ := postJSON[AnalyzeResponse](t, ts.URL+"/v1/analyze", paperCell()); code != http.StatusOK {
 		t.Fatalf("analyze status = %d", code)
 	}
-	sweep := SweepRequest{C: "7", Delta: "7", K: "1", Mu: "0.2", D: "0.9", Nu: "0.1"}
+	sweep := map[string]any{"c": "7", "delta": "7", "k": "1", "mu": "0.2", "d": "0.9", "nu": "0.1"}
 	if code, _ := postJSON[SweepResponse](t, ts.URL+"/v1/sweep", sweep); code != http.StatusOK {
 		t.Fatalf("sweep status = %d", code)
 	}

@@ -40,7 +40,6 @@
 package attackd
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -48,7 +47,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -56,7 +54,6 @@ import (
 	// so every server instance can serve it by name.
 	_ "targetedattacks/internal/aptchain"
 	"targetedattacks/internal/chainmodel"
-	"targetedattacks/internal/core"
 	"targetedattacks/internal/engine"
 	"targetedattacks/internal/matrix"
 	"targetedattacks/internal/obs"
@@ -76,7 +73,9 @@ type Config struct {
 	// DefaultCacheSize, negative disables caching.
 	CacheSize int
 	// MaxCells bounds the grid size a single /v1/sweep request may ask
-	// for; 0 picks DefaultMaxCells.
+	// for; 0 picks DefaultMaxCells. It may not exceed
+	// chainmodel.MaxGridCells, the bound every family's plan parser
+	// applies before allocating a grid.
 	MaxCells int
 	// MaxStates bounds |Ω| per cell, rejecting accidental C=∆=500
 	// requests that would pin the process; 0 picks DefaultMaxStates.
@@ -187,6 +186,9 @@ func New(cfg Config) (*Server, error) {
 	maxCells := cfg.MaxCells
 	if maxCells == 0 {
 		maxCells = DefaultMaxCells
+	}
+	if maxCells > chainmodel.MaxGridCells {
+		return nil, fmt.Errorf("attackd: MaxCells %d exceeds the %d-cell grid limit", maxCells, chainmodel.MaxGridCells)
 	}
 	maxStates := cfg.MaxStates
 	if maxStates == 0 {
@@ -342,19 +344,17 @@ func timingsFromTrace(tr *obs.Trace) *TimingsDTO {
 	return dto
 }
 
-// CellRequest is the /v1/analyze request body: one model cell. The
-// parameter fields c..nu belong to the default targeted-attack family;
-// other families read their own parameters from the same body (see
-// Model).
+// CellRequest holds the fields every analytic request body shares —
+// /v1/analyze, /v1/sweep and sweep jobs. The selected family reads its
+// own parameters from the same body: one value per parameter for an
+// analysis (chainmodel.Family.ParseCell), one axis expression per
+// parameter, list "0.1,0.2" or range "0.5:0.9:0.1", for a sweep
+// (ParsePlan).
 type CellRequest struct {
-	C            int     `json:"c"`
-	Delta        int     `json:"delta"`
-	K            int     `json:"k"`
-	Mu           float64 `json:"mu"`
-	D            float64 `json:"d"`
-	Nu           float64 `json:"nu"`
-	Distribution string  `json:"distribution,omitempty"` // "delta" (default) or "beta"
-	Sojourns     int     `json:"sojourns,omitempty"`     // default 1
+	// Distribution names the family's initial distribution ("" selects
+	// its default).
+	Distribution string `json:"distribution,omitempty"`
+	Sojourns     int    `json:"sojourns,omitempty"` // default 1
 	// Solver overrides the server's backend for this request (one of
 	// matrix.SolverKinds; "" keeps the server default).
 	Solver string `json:"solver,omitempty"`
@@ -379,46 +379,17 @@ type CellRequest struct {
 	Timings bool `json:"timings,omitempty"`
 }
 
-// SweepRequest is the /v1/sweep request body: one axis expression per
-// parameter (list "0.1,0.2" or range "0.5:0.9:0.1" syntax).
-type SweepRequest struct {
-	C            string `json:"c"`
-	Delta        string `json:"delta"`
-	K            string `json:"k"`
-	Mu           string `json:"mu"`
-	D            string `json:"d"`
-	Nu           string `json:"nu"`
+// AnalyzeResponse is the /v1/analyze response body. Params and Analysis
+// are in the family's wire vocabulary; the paper model leaves Model,
+// Distribution and Sojourns empty and reports them inside Params.
+type AnalyzeResponse struct {
+	Model        string `json:"model,omitempty"`
+	Params       any    `json:"params"`
 	Distribution string `json:"distribution,omitempty"`
 	Sojourns     int    `json:"sojourns,omitempty"`
-	// Solver, Tol, MaxIter and Workers override the server's backend,
-	// tolerances and pool width for this request, as in CellRequest.
-	Solver  string  `json:"solver,omitempty"`
-	Tol     float64 `json:"tol,omitempty"`
-	MaxIter int     `json:"max_iter,omitempty"`
-	Workers int     `json:"workers,omitempty"`
-	// Model selects the registered model family, as in CellRequest;
-	// other families declare their own axis fields in the same body.
-	Model string `json:"model,omitempty"`
-	// Timings asks for a per-stage timing breakdown, as in CellRequest.
-	Timings bool `json:"timings,omitempty"`
-}
-
-// AnalysisDTO is the wire form of a core.Analysis.
-type AnalysisDTO struct {
-	ExpectedSafeTime     float64            `json:"expected_safe_time"`
-	ExpectedPollutedTime float64            `json:"expected_polluted_time"`
-	SafeSojourns         []float64          `json:"safe_sojourns"`
-	PollutedSojourns     []float64          `json:"polluted_sojourns"`
-	Absorption           map[string]float64 `json:"absorption"`
-	PollutionProbability float64            `json:"pollution_probability"`
-}
-
-// AnalyzeResponse is the /v1/analyze response body.
-type AnalyzeResponse struct {
-	Params   ParamsDTO   `json:"params"`
-	States   int         `json:"states"`
-	Solver   string      `json:"solver"`
-	Analysis AnalysisDTO `json:"analysis"`
+	States       int    `json:"states"`
+	Solver       string `json:"solver"`
+	Analysis     any    `json:"analysis"`
 	// Cached reports the response was served from the LRU cache; Shared
 	// that it piggybacked on an identical concurrent evaluation
 	// (singleflight follower) without computing or hitting the cache.
@@ -429,35 +400,29 @@ type AnalyzeResponse struct {
 	Timings *TimingsDTO `json:"timings,omitempty"`
 }
 
-// ParamsDTO is the wire form of core.Params plus the analysis options.
-type ParamsDTO struct {
-	C            int     `json:"c"`
-	Delta        int     `json:"delta"`
-	K            int     `json:"k"`
-	Mu           float64 `json:"mu"`
-	D            float64 `json:"d"`
-	Nu           float64 `json:"nu"`
-	Distribution string  `json:"distribution"`
-	Sojourns     int     `json:"sojourns"`
-}
-
-// SweepCellDTO is one cell of a /v1/sweep response.
+// SweepCellDTO is one cell of a /v1/sweep response, and one line of its
+// NDJSON stream. Params and Analysis are as in AnalyzeResponse;
+// Rule1Fires is reported by the paper model only.
 type SweepCellDTO struct {
-	Index      int         `json:"index"`
-	Params     ParamsDTO   `json:"params"`
-	States     int         `json:"states"`
-	Transient  int         `json:"transient"`
-	Rule1Fires int         `json:"rule1_fires"`
-	Shared     bool        `json:"shared"`
-	Iterations int64       `json:"iterations,omitempty"`
-	Analysis   AnalysisDTO `json:"analysis"`
+	Index      int   `json:"index"`
+	Params     any   `json:"params"`
+	States     int   `json:"states"`
+	Transient  int   `json:"transient"`
+	Rule1Fires *int  `json:"rule1_fires,omitempty"`
+	Shared     bool  `json:"shared"`
+	Iterations int64 `json:"iterations,omitempty"`
+	Analysis   any   `json:"analysis"`
 }
 
-// SweepResponse is the /v1/sweep response body.
+// SweepResponse is the /v1/sweep response body. Model, Distribution
+// and Sojourns are empty for the paper model, as in AnalyzeResponse.
 type SweepResponse struct {
-	Cells     []SweepCellDTO `json:"cells"`
-	Groups    int            `json:"groups"`
-	Evaluated int            `json:"evaluated"`
+	Model        string         `json:"model,omitempty"`
+	Distribution string         `json:"distribution,omitempty"`
+	Sojourns     int            `json:"sojourns,omitempty"`
+	Cells        []SweepCellDTO `json:"cells"`
+	Groups       int            `json:"groups"`
+	Evaluated    int            `json:"evaluated"`
 	// Iterations totals the evaluation's iterative-solver work across
 	// all cells (0 for the dense backend and for cache hits of dense
 	// evaluations).
@@ -523,18 +488,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, endpoint strin
 	return body, true
 }
 
-// parseDistribution maps the wire name to the model's enum.
-func parseDistribution(name string) (core.InitialDistribution, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "delta", "δ":
-		return core.DistributionDelta, nil
-	case "beta", "β":
-		return core.DistributionBeta, nil
-	default:
-		return 0, fmt.Errorf("unknown distribution %q (want \"delta\" or \"beta\")", name)
-	}
-}
-
 // requestSolver resolves the per-request solver overrides: zero values
 // keep the server's configured backend, tolerance and iteration cap;
 // anything else replaces that field after validation. Kind, tol and
@@ -592,363 +545,6 @@ func resolveFamily(name string) (chainmodel.Family, error) {
 	return fam, nil
 }
 
-// canonicalCellKey is the canonical cache/singleflight key of one cell
-// request: strconv formats are exact for float64, so two requests with
-// byte-different but value-equal JSON (e.g. 0.50 vs 0.5) share a key.
-// The model name leads the key, so no two families can collide.
-func canonicalCellKey(p core.Params, dist core.InitialDistribution, sojourns int, solver matrix.SolverConfig) string {
-	return fmt.Sprintf("cell|m=%s|C=%d|D=%d|K=%d|mu=%s|d=%s|nu=%s|a=%d|n=%d|s=%s|tol=%s|it=%d",
-		chainmodel.DefaultFamily,
-		p.C, p.Delta, p.K,
-		strconv.FormatFloat(p.Mu, 'x', -1, 64),
-		strconv.FormatFloat(p.D, 'x', -1, 64),
-		strconv.FormatFloat(p.Nu, 'x', -1, 64),
-		int(dist), sojourns, solver.Kind,
-		strconv.FormatFloat(solver.Tol, 'x', -1, 64), solver.MaxIter)
-}
-
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "/v1/analyze"
-	if !s.requireMethod(w, r, endpoint, http.MethodPost) {
-		return
-	}
-	parseSpan, _ := obs.StartSpan(r.Context(), "parse")
-	body, ok := s.readBody(w, r, endpoint)
-	if !ok {
-		parseSpan.End()
-		return
-	}
-	var req CellRequest
-	err := json.Unmarshal(body, &req)
-	parseSpan.End()
-	if err != nil {
-		s.writeError(w, r, endpoint, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	fam, err := resolveFamily(req.Model)
-	if err != nil {
-		s.writeError(w, r, endpoint, http.StatusBadRequest, err)
-		return
-	}
-	if fam.Name() != chainmodel.DefaultFamily {
-		// Non-default families go through the model-agnostic path; the
-		// family reads its own parameters from the raw body.
-		s.handleModelAnalyze(w, r, endpoint, fam, body, req)
-		return
-	}
-	p := core.Params{C: req.C, Delta: req.Delta, K: req.K, Mu: req.Mu, D: req.D, Nu: req.Nu}
-	if err := p.Validate(); err != nil {
-		s.writeError(w, r, endpoint, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.checkGeometry(p.C, p.Delta); err != nil {
-		s.writeError(w, r, endpoint, http.StatusBadRequest, err)
-		return
-	}
-	dist, err := parseDistribution(req.Distribution)
-	if err != nil {
-		s.writeError(w, r, endpoint, http.StatusBadRequest, err)
-		return
-	}
-	sojourns := req.Sojourns
-	if sojourns < 1 {
-		sojourns = 1
-	}
-	if sojourns > s.maxSojourns {
-		s.writeError(w, r, endpoint, http.StatusBadRequest,
-			fmt.Errorf("sojourns %d exceeds the server limit %d", sojourns, s.maxSojourns))
-		return
-	}
-	solver, err := s.requestSolver(req.Solver, req.Tol, req.MaxIter)
-	if err != nil {
-		s.writeError(w, r, endpoint, http.StatusBadRequest, err)
-		return
-	}
-	pool, err := s.requestPool(req.Workers)
-	if err != nil {
-		s.writeError(w, r, endpoint, http.StatusBadRequest, err)
-		return
-	}
-	key := canonicalCellKey(p, dist, sojourns, solver)
-	tr := obs.TraceFromContext(r.Context())
-	cacheSpan, _ := obs.StartSpan(r.Context(), "cache")
-	cached, hit := s.cache.Get(key)
-	cacheSpan.End()
-	if hit {
-		s.metrics.cacheHits.Add(1)
-		resp := cached.(AnalyzeResponse)
-		resp.Cached = true
-		if req.Timings {
-			resp.Timings = timingsFromTrace(tr)
-		}
-		s.writeJSON(w, r, endpoint, http.StatusOK, resp)
-		return
-	}
-	// The cache miss is counted inside the flight, so only the leader —
-	// the request that actually evaluates — records one. Followers are
-	// neither hits nor misses; they surface in
-	// attackd_singleflight_shared_total instead.
-	ctx := r.Context()
-	val, err, shared := s.flights.Do(key, func() (any, error) {
-		s.metrics.cacheMisses.Add(1)
-		s.metrics.inflight.Add(1)
-		defer s.metrics.inflight.Add(-1)
-		s.metrics.evaluation(chainmodel.DefaultFamily)
-		// The leader's trace observes the fine build decomposition
-		// (space, kernel, matrix) plus the solve; followers only carry
-		// their own parse/cache stages.
-		buildOpts := []core.BuildOption{core.WithBuildPool(pool)}
-		if ltr := obs.TraceFromContext(ctx); ltr != nil {
-			buildOpts = append(buildOpts, core.WithObserver(ltr))
-		}
-		m, err := core.NewWithSolver(p, solver, buildOpts...)
-		if err != nil {
-			return nil, err
-		}
-		solveSpan, _ := obs.StartSpan(ctx, "solve")
-		a, err := m.AnalyzeNamed(dist, sojourns)
-		if err != nil {
-			solveSpan.End()
-			return nil, err
-		}
-		solveSpan.SetAttr("backend", a.Solver.Backend)
-		solveSpan.SetAttrInt("iterations", a.Solver.Iterations)
-		solveSpan.End()
-		s.metrics.solve(a.Solver)
-		resp := AnalyzeResponse{
-			Params:   paramsDTO(p, dist, sojourns),
-			States:   m.Space().Size(),
-			Solver:   solver.Kind,
-			Analysis: analysisDTO(a),
-		}
-		s.cache.Put(key, resp, analysisWeight(sojourns))
-		return resp, nil
-	})
-	if shared {
-		s.metrics.singleflightShared.Add(1)
-	}
-	if err != nil {
-		s.writeError(w, r, endpoint, http.StatusInternalServerError, err)
-		return
-	}
-	resp := val.(AnalyzeResponse)
-	resp.Shared = shared
-	if req.Timings {
-		resp.Timings = timingsFromTrace(tr)
-	}
-	s.writeJSON(w, r, endpoint, http.StatusOK, resp)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	const endpoint = "/v1/sweep"
-	if !s.requireMethod(w, r, endpoint, http.MethodPost) {
-		return
-	}
-	parseSpan, _ := obs.StartSpan(r.Context(), "parse")
-	body, ok := s.readBody(w, r, endpoint)
-	if !ok {
-		parseSpan.End()
-		return
-	}
-	ev, err := s.sweepEvaluationFromBody(body)
-	parseSpan.End()
-	if err != nil {
-		s.writeError(w, r, endpoint, http.StatusBadRequest, err)
-		return
-	}
-	s.serveEvaluation(w, r, endpoint, ev, wantsStream(r))
-}
-
-// sweepEvaluationFromBody parses, bounds and prepares a /v1/sweep body
-// (default or named model family) into a runnable evaluation. Every
-// error is the client's.
-func (s *Server) sweepEvaluationFromBody(body []byte) (*evaluation, error) {
-	var req SweepRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
-	}
-	fam, err := resolveFamily(req.Model)
-	if err != nil {
-		return nil, err
-	}
-	solver, err := s.requestSolver(req.Solver, req.Tol, req.MaxIter)
-	if err != nil {
-		return nil, err
-	}
-	pool, err := s.requestPool(req.Workers)
-	if err != nil {
-		return nil, err
-	}
-	if fam.Name() != chainmodel.DefaultFamily {
-		return s.modelSweepEvaluation(fam, body, req, solver, pool)
-	}
-	plan, err := s.planFromRequest(req)
-	if err != nil {
-		return nil, err
-	}
-	ev := s.sweepEvaluation(plan, solver, pool)
-	ev.timings = req.Timings
-	return ev, nil
-}
-
-// sweepEvaluation prepares a default-family grid evaluation: run
-// computes (and caches) a SweepResponse, streaming each cell's DTO in
-// completion order when onCell is set.
-func (s *Server) sweepEvaluation(plan sweep.Plan, solver matrix.SolverConfig, pool *engine.Pool) *evaluation {
-	ev := &evaluation{
-		kind:   "sweep",
-		model:  chainmodel.DefaultFamily,
-		key:    canonicalPlanKey(plan, solver),
-		cells:  plan.Size(),
-		solver: solver.Kind,
-	}
-	ev.run = func(ctx context.Context, onCell func(any)) (any, error) {
-		s.metrics.inflight.Add(1)
-		defer s.metrics.inflight.Add(-1)
-		s.metrics.evaluation(chainmodel.DefaultFamily)
-		var cb func(sweep.CellResult)
-		if onCell != nil {
-			cb = func(cr sweep.CellResult) { onCell(sweepCellDTO(cr, plan)) }
-		}
-		// Warm starting is always on: serving-grid lanes chain
-		// neighboring cells' solves, and the results stay worker-count
-		// independent.
-		rs, err := sweep.Evaluate(ctx, plan, sweep.Options{
-			Pool:      pool,
-			BuildPool: pool,
-			Solver:    solver,
-			WarmStart: true,
-			OnCell:    cb,
-		})
-		if err != nil {
-			return nil, err
-		}
-		resp := SweepResponse{
-			Cells:      make([]SweepCellDTO, len(rs.Cells)),
-			Groups:     rs.Groups,
-			Evaluated:  rs.Evaluated,
-			Iterations: rs.Iterations,
-			Solver:     solver.Kind,
-		}
-		for i, cell := range rs.Cells {
-			resp.Cells[i] = sweepCellDTO(cell, plan)
-			if !cell.Shared {
-				s.metrics.solve(cell.Analysis.Solver)
-			}
-		}
-		s.cache.Put(ev.key, resp, int64(len(rs.Cells))*analysisWeight(plan.Sojourns))
-		return resp, nil
-	}
-	ev.cellsOf = func(val any) []any {
-		resp := val.(SweepResponse)
-		out := make([]any, len(resp.Cells))
-		for i, c := range resp.Cells {
-			out[i] = c
-		}
-		return out
-	}
-	ev.finish = func(val any, cached, shared bool, tm *TimingsDTO) any {
-		resp := val.(SweepResponse)
-		resp.Cached, resp.Shared = cached, shared
-		resp.Timings = tm
-		return resp
-	}
-	ev.summarize = func(val any, cached, shared bool, tm *TimingsDTO) StreamSummary {
-		resp := val.(SweepResponse)
-		return StreamSummary{
-			Cells:      len(resp.Cells),
-			Groups:     resp.Groups,
-			Evaluated:  resp.Evaluated,
-			Iterations: resp.Iterations,
-			Solver:     resp.Solver,
-			Cached:     cached,
-			Shared:     shared,
-			Timings:    tm,
-		}
-	}
-	return ev
-}
-
-// sweepCellDTO is the wire form of one evaluated cell. It is shared by
-// the buffered response and the NDJSON stream, so a streamed line is
-// byte-identical to the same cell in a buffered "cells" array.
-func sweepCellDTO(cell sweep.CellResult, plan sweep.Plan) SweepCellDTO {
-	return SweepCellDTO{
-		Index:      cell.Index,
-		Params:     paramsDTO(cell.Params, plan.Dist, plan.Sojourns),
-		States:     cell.States,
-		Transient:  cell.Transient,
-		Rule1Fires: cell.Rule1Fires,
-		Shared:     cell.Shared,
-		Iterations: cell.Iterations,
-		Analysis:   analysisDTO(cell.Analysis),
-	}
-}
-
-// planFromRequest parses and bounds a sweep request.
-func (s *Server) planFromRequest(req SweepRequest) (sweep.Plan, error) {
-	var plan sweep.Plan
-	var err error
-	if plan.C, err = ParseIntsOrDefault(req.C, nil); err != nil {
-		return plan, fmt.Errorf("axis c: %w", err)
-	}
-	if plan.Delta, err = ParseIntsOrDefault(req.Delta, nil); err != nil {
-		return plan, fmt.Errorf("axis delta: %w", err)
-	}
-	if plan.K, err = ParseIntsOrDefault(req.K, nil); err != nil {
-		return plan, fmt.Errorf("axis k: %w", err)
-	}
-	if plan.Mu, err = ParseFloatsOrDefault(req.Mu, nil); err != nil {
-		return plan, fmt.Errorf("axis mu: %w", err)
-	}
-	if plan.D, err = ParseFloatsOrDefault(req.D, nil); err != nil {
-		return plan, fmt.Errorf("axis d: %w", err)
-	}
-	if plan.Nu, err = ParseFloatsOrDefault(req.Nu, []float64{0.1}); err != nil {
-		return plan, fmt.Errorf("axis nu: %w", err)
-	}
-	if plan.Dist, err = parseDistribution(req.Distribution); err != nil {
-		return plan, err
-	}
-	plan.Sojourns = req.Sojourns
-	if plan.Sojourns < 1 {
-		plan.Sojourns = 1
-	}
-	if plan.Sojourns > s.maxSojourns {
-		return plan, fmt.Errorf("sojourns %d exceeds the server limit %d", plan.Sojourns, s.maxSojourns)
-	}
-	if n := plan.Size(); n > s.maxCells {
-		return plan, fmt.Errorf("grid has %d cells, server limit is %d", n, s.maxCells)
-	}
-	for _, c := range plan.C {
-		for _, delta := range plan.Delta {
-			if err := s.checkGeometry(c, delta); err != nil {
-				return plan, err
-			}
-		}
-	}
-	if err := plan.Validate(); err != nil {
-		return plan, err
-	}
-	return plan, nil
-}
-
-// checkGeometry bounds |Ω|. C and ∆ are each capped by the state limit
-// first (|Ω| is at least C+1 and at least (∆+1)(∆+2)/2), and the
-// closed-form count itself is evaluated in saturating int64 arithmetic —
-// on 32-bit platforms the product overflows int long before the
-// pre-caps catch it, which used to let absurd geometries wrap around
-// the limit.
-func (s *Server) checkGeometry(c, delta int) error {
-	if c > s.maxStates || delta > s.maxStates {
-		return fmt.Errorf("C=%d ∆=%d exceeds the server's %d-state limit", c, delta, s.maxStates)
-	}
-	if states := stateCount(core.Params{C: c, Delta: delta}); states > int64(s.maxStates) {
-		return fmt.Errorf("C=%d ∆=%d has %d states, server limit is %d", c, delta, states, s.maxStates)
-	}
-	return nil
-}
-
 // ParseIntsOrDefault parses an integer axis, with a default for empty
 // expressions (nil default makes the axis required).
 func ParseIntsOrDefault(expr string, def []int) ([]int, error) {
@@ -970,90 +566,6 @@ func ParseFloatsOrDefault(expr string, def []float64) ([]float64, error) {
 		return nil, fmt.Errorf("axis is required")
 	}
 	return sweep.ParseFloats(expr)
-}
-
-// canonicalPlanKey canonicalizes a sweep plan for caching. As in
-// canonicalCellKey, the model name leads the key.
-func canonicalPlanKey(plan sweep.Plan, solver matrix.SolverConfig) string {
-	var b strings.Builder
-	b.WriteString("sweep|m=" + chainmodel.DefaultFamily)
-	writeInts := func(tag string, vs []int) {
-		b.WriteString("|" + tag + "=")
-		for i, v := range vs {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.Itoa(v))
-		}
-	}
-	writeFloats := func(tag string, vs []float64) {
-		b.WriteString("|" + tag + "=")
-		for i, v := range vs {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.FormatFloat(v, 'x', -1, 64))
-		}
-	}
-	writeInts("C", plan.C)
-	writeInts("D", plan.Delta)
-	writeInts("K", plan.K)
-	writeFloats("mu", plan.Mu)
-	writeFloats("d", plan.D)
-	writeFloats("nu", plan.Nu)
-	fmt.Fprintf(&b, "|a=%d|n=%d|s=%s|tol=%s|it=%d",
-		int(plan.Dist), plan.Sojourns, solver.Kind,
-		strconv.FormatFloat(solver.Tol, 'x', -1, 64), solver.MaxIter)
-	return b.String()
-}
-
-// stateCount is |Ω| = (C+1)(∆+1)(∆+2)/2 without enumerating the space,
-// computed in int64 and saturating at MaxInt64: the product overflows
-// 32-bit int already for C = ∆ ≈ 1600, well inside the default
-// 200 000-state limit's pre-caps on 32-bit platforms.
-func stateCount(p core.Params) int64 {
-	c, d := int64(p.C)+1, int64(p.Delta)+1
-	if c < 1 || d < 1 {
-		// Degenerate geometry; parameter validation rejects it with a
-		// better message than a count could.
-		return 0
-	}
-	// d(d+1)/2 overflows int64 only past d ≈ 4.3e9; the cap below keeps
-	// the triangular number itself exact.
-	const maxTriangular = 3_037_000_498 // floor(sqrt(MaxInt64)) - 1
-	if d > maxTriangular {
-		return math.MaxInt64
-	}
-	tri := d * (d + 1) / 2
-	if c > math.MaxInt64/tri {
-		return math.MaxInt64
-	}
-	return c * tri
-}
-
-func paramsDTO(p core.Params, dist core.InitialDistribution, sojourns int) ParamsDTO {
-	name := "delta"
-	if dist == core.DistributionBeta {
-		name = "beta"
-	}
-	if sojourns < 1 {
-		sojourns = 1
-	}
-	return ParamsDTO{
-		C: p.C, Delta: p.Delta, K: p.K, Mu: p.Mu, D: p.D, Nu: p.Nu,
-		Distribution: name, Sojourns: sojourns,
-	}
-}
-
-func analysisDTO(a *core.Analysis) AnalysisDTO {
-	return AnalysisDTO{
-		ExpectedSafeTime:     a.ExpectedSafeTime,
-		ExpectedPollutedTime: a.ExpectedPollutedTime,
-		SafeSojourns:         a.SafeSojourns,
-		PollutedSojourns:     a.PollutedSojourns,
-		Absorption:           a.Absorption,
-		PollutionProbability: a.PollutionProbability,
-	}
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, endpoint string, code int, v any) {

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 
+	"targetedattacks/internal/aptchain"
+	"targetedattacks/internal/chainmodel"
 	"targetedattacks/internal/core"
 	"targetedattacks/internal/matrix"
 )
@@ -42,21 +44,47 @@ func postJSON[T any](t *testing.T, url string, body any) (int, T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatalf("decoding response: %v", err)
 	}
+	// Drain to EOF: a chunked body ends only after the handler, and so
+	// the observability middleware, has returned, so /metrics scraped
+	// next already holds this request.
+	io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode, out
 }
 
-func paperCell() CellRequest {
-	return CellRequest{C: 7, Delta: 7, K: 1, Mu: 0.2, D: 0.9, Nu: 0.1}
+// paperCell is a paper-model /v1/analyze body.
+func paperCell() map[string]any {
+	return map[string]any{"c": 7, "delta": 7, "k": 1, "mu": 0.2, "d": 0.9, "nu": 0.1}
+}
+
+// paperAnalyzeReply decodes a paper-model /v1/analyze body: the typed
+// params and analysis shadow the generic AnalyzeResponse fields.
+type paperAnalyzeReply struct {
+	AnalyzeResponse
+	Params   paperParamsDTO   `json:"params"`
+	Analysis paperAnalysisDTO `json:"analysis"`
+}
+
+// paperSweepCell decodes one paper-model sweep cell (or NDJSON line).
+type paperSweepCell struct {
+	SweepCellDTO
+	Params   paperParamsDTO   `json:"params"`
+	Analysis paperAnalysisDTO `json:"analysis"`
+}
+
+// paperSweepReply decodes a paper-model /v1/sweep body.
+type paperSweepReply struct {
+	SweepResponse
+	Cells []paperSweepCell `json:"cells"`
 }
 
 func TestAnalyzeMatchesCore(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	req := paperCell()
-	code, got := postJSON[AnalyzeResponse](t, ts.URL+"/v1/analyze", req)
+	code, got := postJSON[paperAnalyzeReply](t, ts.URL+"/v1/analyze", req)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
-	p := core.Params{C: req.C, Delta: req.Delta, K: req.K, Mu: req.Mu, D: req.D, Nu: req.Nu}
+	p := core.Params{C: 7, Delta: 7, K: 1, Mu: 0.2, D: 0.9, Nu: 0.1}
 	m, err := core.NewWithSolver(p, matrix.SolverConfig{Kind: "bicgstab"})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +103,7 @@ func TestAnalyzeMatchesCore(t *testing.T) {
 		t.Errorf("metadata = %+v", got)
 	}
 	// Second identical request must come from the cache.
-	code, again := postJSON[AnalyzeResponse](t, ts.URL+"/v1/analyze", req)
+	code, again := postJSON[paperAnalyzeReply](t, ts.URL+"/v1/analyze", req)
 	if code != http.StatusOK || !again.Cached {
 		t.Errorf("repeat request: status=%d cached=%v, want 200/true", code, again.Cached)
 	}
@@ -87,11 +115,12 @@ func TestAnalyzeMatchesCore(t *testing.T) {
 func TestAnalyzeRejectsBadRequests(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	for name, body := range map[string]any{
-		"invalid params":    CellRequest{C: 7, Delta: 1, K: 1, Mu: 0.2, D: 0.9, Nu: 0.1},
-		"bad distribution":  map[string]any{"c": 7, "delta": 7, "k": 1, "nu": 0.1, "distribution": "zeta"},
-		"huge state space":  CellRequest{C: 500, Delta: 500, K: 1, Nu: 0.1},
-		"overflow geometry": CellRequest{C: 1, Delta: 5_000_000_000, K: 1, Nu: 0.1},
-		"huge sojourns":     CellRequest{C: 7, Delta: 7, K: 1, Mu: 0.2, D: 0.9, Nu: 0.1, Sojourns: 2_000_000_000},
+		"invalid params":   map[string]any{"c": 7, "delta": 1, "k": 1, "mu": 0.2, "d": 0.9, "nu": 0.1},
+		"bad distribution": map[string]any{"c": 7, "delta": 7, "k": 1, "nu": 0.1, "distribution": "zeta"},
+		"huge state space": map[string]any{"c": 500, "delta": 500, "k": 1, "nu": 0.1},
+		// A float constant, so the test compiles where int is 32 bits.
+		"overflow geometry": map[string]any{"c": 1, "delta": 5e9, "k": 1, "nu": 0.1},
+		"huge sojourns":     map[string]any{"c": 7, "delta": 7, "k": 1, "mu": 0.2, "d": 0.9, "nu": 0.1, "sojourns": 2_000_000_000},
 	} {
 		code, resp := postJSON[errorResponse](t, ts.URL+"/v1/analyze", body)
 		if code != http.StatusBadRequest || resp.Error == "" {
@@ -110,11 +139,11 @@ func TestAnalyzeRejectsBadRequests(t *testing.T) {
 
 func TestSweepEndpoint(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	req := SweepRequest{
-		C: "7", Delta: "7", K: "1",
-		Mu: "0.1,0.3", D: "0.5:0.9:0.2", Nu: "0.05,0.5",
+	req := map[string]any{
+		"c": "7", "delta": "7", "k": "1",
+		"mu": "0.1,0.3", "d": "0.5:0.9:0.2", "nu": "0.05,0.5",
 	}
-	code, got := postJSON[SweepResponse](t, ts.URL+"/v1/sweep", req)
+	code, got := postJSON[paperSweepReply](t, ts.URL+"/v1/sweep", req)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
@@ -127,9 +156,9 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 	// One cell must agree with the single-cell endpoint.
 	cell := got.Cells[0]
-	code, single := postJSON[AnalyzeResponse](t, ts.URL+"/v1/analyze", CellRequest{
-		C: cell.Params.C, Delta: cell.Params.Delta, K: cell.Params.K,
-		Mu: cell.Params.Mu, D: cell.Params.D, Nu: cell.Params.Nu,
+	code, single := postJSON[paperAnalyzeReply](t, ts.URL+"/v1/analyze", map[string]any{
+		"c": cell.Params.C, "delta": cell.Params.Delta, "k": cell.Params.K,
+		"mu": cell.Params.Mu, "d": cell.Params.D, "nu": cell.Params.Nu,
 	})
 	if code != http.StatusOK {
 		t.Fatalf("analyze status = %d", code)
@@ -143,15 +172,15 @@ func TestSweepEndpoint(t *testing.T) {
 		t.Errorf("repeat sweep: status=%d cached=%v", code, again.Cached)
 	}
 	// Bad axis and oversized grids are rejected.
-	for name, bad := range map[string]SweepRequest{
-		"bad axis":       {C: "7", Delta: "7", K: "x", Mu: "0.1", D: "0.5", Nu: "0.1"},
-		"no axis":        {C: "7", Delta: "7", Mu: "0.1", D: "0.5", Nu: "0.1"},
-		"too large":      {C: "7", Delta: "7", K: "1:7", Mu: "0:1:0.01", D: "0:0.99:0.01", Nu: "0.1"},
-		"bomb range":     {C: "1:4000000000", Delta: "7", K: "1", Mu: "0.1", D: "0.5", Nu: "0.1"},
-		"nan axis":       {C: "7", Delta: "7", K: "1", Mu: "nan", D: "0.5", Nu: "0.1"},
-		"denormal step":  {C: "7", Delta: "7", K: "1", Mu: "0:1:1e-300", D: "0.5", Nu: "0.1"},
-		"huge geometry":  {C: "1", Delta: "5000000000", K: "1", Mu: "0.1", D: "0.5", Nu: "0.1"},
-		"huge sojourns2": {C: "7", Delta: "7", K: "1", Mu: "0.1", D: "0.5", Nu: "0.1", Sojourns: 1 << 30},
+	for name, bad := range map[string]map[string]any{
+		"bad axis":       {"c": "7", "delta": "7", "k": "x", "mu": "0.1", "d": "0.5", "nu": "0.1"},
+		"no axis":        {"c": "7", "delta": "7", "mu": "0.1", "d": "0.5", "nu": "0.1"},
+		"too large":      {"c": "7", "delta": "7", "k": "1:7", "mu": "0:1:0.01", "d": "0:0.99:0.01", "nu": "0.1"},
+		"bomb range":     {"c": "1:4000000000", "delta": "7", "k": "1", "mu": "0.1", "d": "0.5", "nu": "0.1"},
+		"nan axis":       {"c": "7", "delta": "7", "k": "1", "mu": "nan", "d": "0.5", "nu": "0.1"},
+		"denormal step":  {"c": "7", "delta": "7", "k": "1", "mu": "0:1:1e-300", "d": "0.5", "nu": "0.1"},
+		"huge geometry":  {"c": "1", "delta": "5000000000", "k": "1", "mu": "0.1", "d": "0.5", "nu": "0.1"},
+		"huge sojourns2": {"c": "7", "delta": "7", "k": "1", "mu": "0.1", "d": "0.5", "nu": "0.1", "sojourns": 1 << 30},
 	} {
 		code, resp := postJSON[errorResponse](t, ts.URL+"/v1/sweep", bad)
 		if code != http.StatusBadRequest || resp.Error == "" {
@@ -166,15 +195,15 @@ func TestSweepEndpoint(t *testing.T) {
 func TestPerRequestSolverOverride(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	req := paperCell()
-	req.Solver = "ilu"
-	code, got := postJSON[AnalyzeResponse](t, ts.URL+"/v1/analyze", req)
+	req["solver"] = "ilu"
+	code, got := postJSON[paperAnalyzeReply](t, ts.URL+"/v1/analyze", req)
 	if code != http.StatusOK || got.Solver != "ilu" {
 		t.Fatalf("status=%d solver=%q, want 200/ilu", code, got.Solver)
 	}
 	// The dense backend must agree (the override actually routed).
 	dreq := paperCell()
-	dreq.Solver = "dense"
-	code, dense := postJSON[AnalyzeResponse](t, ts.URL+"/v1/analyze", dreq)
+	dreq["solver"] = "dense"
+	code, dense := postJSON[paperAnalyzeReply](t, ts.URL+"/v1/analyze", dreq)
 	if code != http.StatusOK || dense.Solver != "dense" || dense.Cached {
 		t.Fatalf("dense override: status=%d solver=%q cached=%v", code, dense.Solver, dense.Cached)
 	}
@@ -188,12 +217,12 @@ func TestPerRequestSolverOverride(t *testing.T) {
 	}
 	// Unknown kinds are a 400 naming the valid ones.
 	breq := paperCell()
-	breq.Solver = "cholesky"
+	breq["solver"] = "cholesky"
 	code, eresp := postJSON[errorResponse](t, ts.URL+"/v1/analyze", breq)
 	if code != http.StatusBadRequest || !strings.Contains(eresp.Error, "ilu") {
 		t.Errorf("bogus solver: status=%d error=%q, want 400 listing backends", code, eresp.Error)
 	}
-	sreq := SweepRequest{C: "7", Delta: "7", K: "1", Mu: "0.2", D: "0.5,0.9", Nu: "0.1", Solver: "ilu"}
+	sreq := map[string]any{"c": "7", "delta": "7", "k": "1", "mu": "0.2", "d": "0.5,0.9", "nu": "0.1", "solver": "ilu"}
 	code, sgot := postJSON[SweepResponse](t, ts.URL+"/v1/sweep", sreq)
 	if code != http.StatusOK || sgot.Solver != "ilu" {
 		t.Fatalf("sweep override: status=%d solver=%q", code, sgot.Solver)
@@ -201,7 +230,7 @@ func TestPerRequestSolverOverride(t *testing.T) {
 	if sgot.Iterations <= 0 {
 		t.Errorf("sweep iterations = %d, want > 0 on an iterative backend", sgot.Iterations)
 	}
-	sreq.Solver = "cholesky"
+	sreq["solver"] = "cholesky"
 	code, _ = postJSON[errorResponse](t, ts.URL+"/v1/sweep", sreq)
 	if code != http.StatusBadRequest {
 		t.Errorf("bogus sweep solver: status=%d, want 400", code)
@@ -277,11 +306,11 @@ func TestHealthzAndMetrics(t *testing.T) {
 // every shared request accounted as a cache hit or a piggyback.
 func TestConcurrentAnalyzeSingleflight(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	distinct := []CellRequest{
-		{C: 7, Delta: 7, K: 1, Mu: 0.1, D: 0.5, Nu: 0.1},
-		{C: 7, Delta: 7, K: 2, Mu: 0.2, D: 0.8, Nu: 0.1},
-		{C: 7, Delta: 7, K: 7, Mu: 0.3, D: 0.9, Nu: 0.2},
-		{C: 9, Delta: 9, K: 1, Mu: 0.2, D: 0.8, Nu: 0.1},
+	distinct := []map[string]any{
+		{"c": 7, "delta": 7, "k": 1, "mu": 0.1, "d": 0.5, "nu": 0.1},
+		{"c": 7, "delta": 7, "k": 2, "mu": 0.2, "d": 0.8, "nu": 0.1},
+		{"c": 7, "delta": 7, "k": 7, "mu": 0.3, "d": 0.9, "nu": 0.2},
+		{"c": 9, "delta": 9, "k": 1, "mu": 0.2, "d": 0.8, "nu": 0.1},
 	}
 	const perKey = 16
 	var wg sync.WaitGroup
@@ -368,7 +397,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}
-			sraw, _ := json.Marshal(SweepRequest{C: "7", Delta: "7", K: "1", Mu: "0.2", D: "0.5,0.9", Nu: "0.1"})
+			sraw, _ := json.Marshal(map[string]any{"c": "7", "delta": "7", "k": "1", "mu": "0.2", "d": "0.5,0.9", "nu": "0.1"})
 			resp, err = http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(sraw))
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)
@@ -451,23 +480,63 @@ func TestFlightGroupSurvivesPanic(t *testing.T) {
 	}
 }
 
+// TestCanonicalKeysNormalize: the cell and plan keys of the one
+// analytic path normalize value-equal floats, separate every input
+// that changes the result, and never collide across families.
 func TestCanonicalKeysNormalize(t *testing.T) {
+	paper := core.Family{}
 	p := core.Params{C: 7, Delta: 7, K: 1, Mu: 0.5, D: 0.9, Nu: 0.1}
 	sc := matrix.SolverConfig{Kind: "bicgstab"}
-	k1 := canonicalCellKey(p, core.DistributionDelta, 1, sc)
-	p2 := p
-	p2.Mu = 0.25 * 2 // same float64 value
-	if canonicalCellKey(p2, core.DistributionDelta, 1, sc) != k1 {
-		t.Error("value-equal params must share a cache key")
+	withMu := func(mu float64) core.Params {
+		q := p
+		q.Mu = mu
+		return q
 	}
-	p2.Mu = 0.3
-	if canonicalCellKey(p2, core.DistributionDelta, 1, sc) == k1 {
-		t.Error("different params must not share a cache key")
+	cellKey := modelCellKey(paper, p, "delta", 1, sc)
+	planKey := func(cell core.Params, dist string, sojourns int, sc matrix.SolverConfig) string {
+		return modelPlanKey(paper, []chainmodel.Cell{cell, withMu(0.7)}, dist, sojourns, sc)
 	}
-	if canonicalCellKey(p, core.DistributionBeta, 1, sc) == k1 {
-		t.Error("distribution must be part of the key")
+	plan := planKey(p, "delta", 1, sc)
+	if modelCellKey(paper, withMu(0.25*2), "delta", 1, sc) != cellKey {
+		t.Error("value-equal params must share a cell key")
 	}
-	if canonicalCellKey(p, core.DistributionDelta, 2, sc) == k1 {
-		t.Error("sojourn count must be part of the key")
+	if planKey(withMu(0.25*2), "delta", 1, sc) != plan {
+		t.Error("value-equal params must share a plan key")
+	}
+	dense, tol, maxIter := sc, sc, sc
+	dense.Kind = "dense"
+	tol.Tol = 1e-10
+	maxIter.MaxIter = 777
+	for name, v := range map[string]struct {
+		cell     core.Params
+		dist     string
+		sojourns int
+		sc       matrix.SolverConfig
+	}{
+		"mu":           {withMu(0.3), "delta", 1, sc},
+		"distribution": {p, "beta", 1, sc},
+		"sojourns":     {p, "delta", 2, sc},
+		"solver kind":  {p, "delta", 1, dense},
+		"tol":          {p, "delta", 1, tol},
+		"max_iter":     {p, "delta", 1, maxIter},
+	} {
+		if modelCellKey(paper, v.cell, v.dist, v.sojourns, v.sc) == cellKey {
+			t.Errorf("%s must change the cell key", name)
+		}
+		if planKey(v.cell, v.dist, v.sojourns, v.sc) == plan {
+			t.Errorf("%s must change the plan key", name)
+		}
+	}
+	// The model name leads every key, so families never collide.
+	apt := aptchain.Family{}
+	aptCell := aptchain.Params{N: 6, Theta: 0.5, Phi: 0.4, Rho: 0.3, Detect: 0.7}
+	for _, keys := range [][2]string{
+		{cellKey, modelCellKey(apt, aptCell, "foothold", 1, sc)},
+		{plan, modelPlanKey(apt, []chainmodel.Cell{aptCell}, "foothold", 1, sc)},
+	} {
+		if !strings.Contains(keys[0], "|m="+chainmodel.DefaultFamily+"|") ||
+			!strings.Contains(keys[1], "|m="+aptchain.FamilyName+"|") {
+			t.Errorf("keys %q and %q must lead with their model names", keys[0], keys[1])
+		}
 	}
 }

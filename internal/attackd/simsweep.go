@@ -66,11 +66,11 @@ type SimSweepRequest struct {
 	// LookupTrials measures end-of-run lookup availability per replica.
 	LookupTrials int `json:"lookup_trials,omitempty"`
 	// Workers overrides the evaluation pool width for this request, as in
-	// SweepRequest (results are replica-seeded, so they are identical for
+	// CellRequest (results are replica-seeded, so they are identical for
 	// any width and the override stays out of the cache key).
 	Workers int `json:"workers,omitempty"`
 	// Timings opts the response into a per-stage timing breakdown, as in
-	// SweepRequest. The breakdown is attached at delivery time, so cached
+	// CellRequest. The breakdown is attached at delivery time, so cached
 	// entries stay byte-identical.
 	Timings bool `json:"timings,omitempty"`
 }

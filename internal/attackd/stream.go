@@ -10,12 +10,13 @@ import (
 	"targetedattacks/internal/obs"
 )
 
-// This file is the streaming half of the serving layer. Every grid
-// endpoint (/v1/sweep, /v1/simsweep, and /v1/sweep with a named model)
-// parses its request into one *evaluation — a prepared, validated,
-// cache-keyed unit of work — and hands it to serveEvaluation, which
-// runs it buffered (one JSON body) or streamed (NDJSON, one line per
-// cell as the evaluator's OnCell hook fires). The async job API reuses
+// This file is the streaming half of the serving layer. Every
+// evaluating endpoint (/v1/analyze, /v1/sweep for any model family,
+// /v1/simsweep) parses its request into one *evaluation — a prepared,
+// validated, cache-keyed unit of work — and hands it to
+// serveEvaluation, which runs it buffered (one JSON body) or, for the
+// grid endpoints, streamed (NDJSON, one line per cell as the
+// evaluator's OnCell hook fires). The async job API reuses
 // the same evaluations, so a job's cells/progress/result are identical
 // to what the synchronous endpoints would have produced.
 //
@@ -31,8 +32,8 @@ import (
 // written, so the first cell arrives while the rest of the grid is
 // still evaluating.
 
-// evaluation is one parsed grid request, ready to run. The three
-// builders (sweepEvaluation, modelSweepEvaluation, simSweepEvaluation)
+// evaluation is one parsed request, ready to run. The two builders
+// (analyticEvaluation for every model family, simSweepEvaluation)
 // close over their typed plans and responses; everything downstream —
 // buffered serving, streaming, async jobs — goes through this shape.
 type evaluation struct {
@@ -57,12 +58,14 @@ type evaluation struct {
 	// completion order, from evaluator goroutines.
 	run func(ctx context.Context, onCell func(any)) (any, error)
 	// cellsOf lists a finished response's cell DTOs in plan order, for
-	// replaying a cached or singleflight-shared result onto a stream.
+	// replaying a cached or singleflight-shared result onto a stream
+	// (nil for /v1/analyze, which never streams).
 	cellsOf func(val any) []any
 	// finish stamps the response's Cached/Shared flags (and the opt-in
 	// timings, which may be nil) for buffered delivery.
 	finish func(val any, cached, shared bool, tm *TimingsDTO) any
-	// summarize renders the stream's terminating summary line.
+	// summarize renders the stream's terminating summary line (nil for
+	// /v1/analyze).
 	summarize func(val any, cached, shared bool, tm *TimingsDTO) StreamSummary
 }
 
@@ -78,7 +81,8 @@ type StreamSummary struct {
 	Evaluated  int    `json:"evaluated,omitempty"`
 	Iterations int64  `json:"iterations,omitempty"`
 	Solver     string `json:"solver,omitempty"`
-	// Model names the family on model sweeps.
+	// Model names the family, except for the paper model, whose
+	// responses carry no top-level model (see wireCell).
 	Model string `json:"model,omitempty"`
 	// Replicas/Events mirror SimSweepResponse (simulation sweeps only).
 	Replicas int   `json:"replicas,omitempty"`

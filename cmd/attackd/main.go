@@ -97,7 +97,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		solver      = fs.String("solver", "", "linear-solver backend: "+strings.Join(matrix.SolverKinds(), ", ")+" (default bicgstab)")
 		tol         = fs.Float64("tol", 0, "iterative solver residual tolerance (0 = default)")
 		cacheSize   = fs.Int("cache", attackd.DefaultCacheSize, "LRU result-cache entries (negative disables)")
-		maxCells    = fs.Int("maxcells", attackd.DefaultMaxCells, "maximum grid cells per sweep request")
+		maxCells    = fs.Int("maxcells", attackd.DefaultMaxCells, "maximum grid cells per sweep request (at most 16384)")
 		maxStates   = fs.Int("maxstates", attackd.DefaultMaxStates, "maximum |Ω| per cell")
 		maxSojourns = fs.Int("maxsojourns", attackd.DefaultMaxSojourns, "maximum sojourn expectations per request")
 		maxSimCells = fs.Int("maxsimcells", attackd.DefaultMaxSimCells, "maximum grid cells per simulation-sweep request")

@@ -3,7 +3,6 @@ package attackd
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"io"
 	"net/http"
 	"os"
@@ -20,12 +19,8 @@ import (
 // NAME.response. Job transcripts submit to /v1/jobs, wait for the job
 // and compare its /result body; NDJSON transcripts compare cell lines
 // in index order (streams deliver completion order), summary last.
-// Regenerate only for a deliberate wire change, with
-//
-//	go test ./internal/attackd -run TestGoldenTranscripts -update
-//
-// and review the testdata diff like any other code change.
-var updateTranscripts = flag.Bool("update", false, "rewrite testdata/transcripts/*.response from the current server")
+// The transcripts are fixed data, recorded once; the test never
+// rewrites them.
 
 // transcriptRequest is one recorded request.
 type transcriptRequest struct {
@@ -53,12 +48,6 @@ func TestGoldenTranscripts(t *testing.T) {
 			ts := newTestServer(t, Config{Pool: engine.New(2)})
 			got := replayTranscript(t, ts.URL, req)
 			respPath := strings.TrimSuffix(reqPath, ".request.json") + ".response"
-			if *updateTranscripts {
-				if err := os.WriteFile(respPath, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
 			want, err := os.ReadFile(respPath)
 			if err != nil {
 				t.Fatal(err)

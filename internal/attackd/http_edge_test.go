@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -135,6 +136,41 @@ func TestHugeGridRejected(t *testing.T) {
 	}
 	if _, err := New(Config{MaxCells: chainmodel.MaxGridCells + 1}); err == nil {
 		t.Error("New accepted a MaxCells above chainmodel.MaxGridCells")
+	}
+}
+
+// TestMillionCellGridRejectedWithoutAllocation: a ~100-byte body asking
+// for about 10^6 cells is refused without enumerating them. Built in
+// full, such a grid costs some 64 MB per request before the MaxCells
+// check can run, so a few dozen parallel requests exhaust memory.
+func TestMillionCellGridRejectedWithoutAllocation(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	bodies := []string{
+		`{"c":"7","delta":"7","k":"1","mu":"0:1:0.001","d":"0:0.999:0.001","nu":"0.1"}`,
+		`{"model":"apt-compromise","n":"8","theta":"0.001:1:0.001","phi":"0.001:1:0.001","detect":"0.1","rho":"0"}`,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, body := range bodies {
+		for _, endpoint := range []string{"/v1/sweep", "/v1/jobs"} {
+			resp, err := http.Post(ts.URL+endpoint, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "cell limit") {
+				t.Errorf("%s %s: status=%d body=%s, want 400 naming the grid limit", endpoint, body, resp.StatusCode, msg)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// Four refusals; one enumerated grid alone would allocate ~64 MB.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Errorf("refusing four million-cell grids allocated %d bytes, want < 16 MB", alloc)
+	}
+	if code, _ := getJSON[map[string]string](t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Errorf("healthz after the refused grids: status=%d", code)
 	}
 }
 

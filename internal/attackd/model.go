@@ -320,6 +320,9 @@ func (s *Server) analyticEvaluation(body []byte, single bool) (*evaluation, erro
 		resp.Cached, resp.Shared, resp.Timings = cached, shared, tm
 		return resp
 	}
+	if single {
+		return ev, nil
+	}
 	ev.cellsOf = func(val any) []any {
 		resp := val.(SweepResponse)
 		out := make([]any, len(resp.Cells))

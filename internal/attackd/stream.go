@@ -59,7 +59,8 @@ type evaluation struct {
 	run func(ctx context.Context, onCell func(any)) (any, error)
 	// cellsOf lists a finished response's cell DTOs in plan order, for
 	// replaying a cached or singleflight-shared result onto a stream
-	// (nil for /v1/analyze, which never streams).
+	// or a job's streamed result (nil for /v1/analyze, which never
+	// streams and cannot be submitted as a job).
 	cellsOf func(val any) []any
 	// finish stamps the response's Cached/Shared flags (and the opt-in
 	// timings, which may be nil) for buffered delivery.

@@ -17,7 +17,11 @@ const MaxAxisPoints = 100_000
 // enumerates. Each axis alone is bounded by MaxAxisPoints, but their
 // product is not: five 10^4-point axes would ask for 10^20 cells. Plan
 // parsers size the grid with GridSize before allocating the cell list.
-const MaxGridCells = 1 << 20
+// Grids arrive in request bodies, so the bound is kept near what a
+// server evaluates per request (attackd's default is 4096 cells): a
+// plan at the bound costs about 1 MB to enumerate, where 2^20 cells
+// cost some 64 MB before any server-side limit could refuse them.
+const MaxGridCells = 1 << 14
 
 // GridSize returns the product of the axis lengths, rejecting a product
 // above MaxGridCells without overflowing on any platform.

@@ -65,11 +65,11 @@ func TestGridSize(t *testing.T) {
 	if n, err := chainmodel.GridSize(2, 3, 4); n != 24 || err != nil {
 		t.Errorf("GridSize(2,3,4) = (%d, %v), want 24", n, err)
 	}
-	if n, err := chainmodel.GridSize(1<<10, 1<<10); n != chainmodel.MaxGridCells || err != nil {
+	if n, err := chainmodel.GridSize(1<<7, 1<<7); n != chainmodel.MaxGridCells || err != nil {
 		t.Errorf("GridSize at the limit = (%d, %v), want %d", n, err, chainmodel.MaxGridCells)
 	}
 	const axis = chainmodel.MaxAxisPoints
-	for _, lens := range [][]int{{1 << 10, 1 << 10, 2}, {axis, axis}, {axis, axis, axis, axis, axis}} {
+	for _, lens := range [][]int{{1 << 7, 1 << 7, 2}, {axis, axis}, {axis, axis, axis, axis, axis}} {
 		if n, err := chainmodel.GridSize(lens...); err == nil {
 			t.Errorf("GridSize(%v) = %d, want an error", lens, n)
 		}

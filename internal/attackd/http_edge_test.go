@@ -114,40 +114,17 @@ func TestStateCountInt64(t *testing.T) {
 
 // TestHugeGridRejected: an axis product past chainmodel.MaxGridCells
 // is refused before its cell list is allocated, on the sweep and job
-// endpoints, and the server stays healthy. The APT body used to crash
-// attackd with an out-of-memory fatal error under a 3 GB address-space
-// cap; the server refuses a MaxCells above the same bound.
+// endpoints, and the server stays healthy. The 10^8-cell APT body used
+// to crash attackd with an out-of-memory fatal error under a 3 GB
+// address-space cap; the ~10^6-cell bodies, enumerated in full, cost
+// some 64 MB each before the MaxCells check could run. The server
+// refuses a MaxCells above the same bound.
 func TestHugeGridRejected(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	body := `{"model":"apt-compromise","n":"8","theta":"0.0001:1:0.0001","phi":"0.0001:1:0.0001","detect":"0.1","rho":"0"}`
-	for _, endpoint := range []string{"/v1/sweep", "/v1/jobs"} {
-		resp, err := http.Post(ts.URL+endpoint, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "cell limit") {
-			t.Errorf("%s: status=%d body=%s, want 400 naming the grid limit", endpoint, resp.StatusCode, msg)
-		}
-	}
-	if code, _ := getJSON[map[string]string](t, ts.URL+"/healthz"); code != http.StatusOK {
-		t.Errorf("healthz after the refused grid: status=%d", code)
-	}
-	if _, err := New(Config{MaxCells: chainmodel.MaxGridCells + 1}); err == nil {
-		t.Error("New accepted a MaxCells above chainmodel.MaxGridCells")
-	}
-}
-
-// TestMillionCellGridRejectedWithoutAllocation: a ~100-byte body asking
-// for about 10^6 cells is refused without enumerating them. Built in
-// full, such a grid costs some 64 MB per request before the MaxCells
-// check can run, so a few dozen parallel requests exhaust memory.
-func TestMillionCellGridRejectedWithoutAllocation(t *testing.T) {
-	ts := newTestServer(t, Config{})
 	bodies := []string{
-		`{"c":"7","delta":"7","k":"1","mu":"0:1:0.001","d":"0:0.999:0.001","nu":"0.1"}`,
+		`{"model":"apt-compromise","n":"8","theta":"0.0001:1:0.0001","phi":"0.0001:1:0.0001","detect":"0.1","rho":"0"}`,
 		`{"model":"apt-compromise","n":"8","theta":"0.001:1:0.001","phi":"0.001:1:0.001","detect":"0.1","rho":"0"}`,
+		`{"c":"7","delta":"7","k":"1","mu":"0:1:0.001","d":"0:0.999:0.001","nu":"0.1"}`,
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -165,12 +142,14 @@ func TestMillionCellGridRejectedWithoutAllocation(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	// Four refusals; one enumerated grid alone would allocate ~64 MB.
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
-		t.Errorf("refusing four million-cell grids allocated %d bytes, want < 16 MB", alloc)
+		t.Errorf("refusing %d huge grids allocated %d bytes, want < 16 MB", 2*len(bodies), alloc)
 	}
 	if code, _ := getJSON[map[string]string](t, ts.URL+"/healthz"); code != http.StatusOK {
 		t.Errorf("healthz after the refused grids: status=%d", code)
+	}
+	if _, err := New(Config{MaxCells: chainmodel.MaxGridCells + 1}); err == nil {
+		t.Error("New accepted a MaxCells above chainmodel.MaxGridCells")
 	}
 }
 

@@ -52,7 +52,7 @@ type (
 	Pool = engine.Pool
 	// SolverConfig selects the linear-solver backend of the closed-form
 	// analytics: the exact dense LU (the zero value) or a sparse
-	// iterative path ("sparse"/"bicgstab", "gs", "ilu", "auto") that
+	// iterative path ("sparse"/"bicgstab", "ilu", "auto") that
 	// never densifies the transition matrix and keeps state spaces with
 	// thousands of transient states affordable. "ilu" preconditions
 	// BiCGSTAB with a zero-fill ILU(0) factorization — the slow-mixing

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	attackd [-addr :8080] [-workers 0] [-solver bicgstab|gs|ilu|dense|auto]
+//	attackd [-addr :8080] [-workers 0] [-solver bicgstab|ilu|dense|auto]
 //	        [-tol 1e-12] [-cache 4096] [-maxcells 4096] [-maxstates 200000]
 //	        [-maxsojourns 1024] [-maxsimcells 256] [-maxsimevents 16777216]
 //	        [-maxjobs 64] [-jobttl 15m] [-shutdown-timeout 10s]

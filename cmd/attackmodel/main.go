@@ -8,12 +8,12 @@
 //	attackmodel [-C 7] [-delta 7] [-mu 0.2] [-d 0.9] [-k 1] [-nu 0.1]
 //	            [-alpha delta|beta] [-sojourns 2] [-overlay 0] [-events 100000]
 //	            [-mc 0] [-mcsteps 1000000] [-workers 0] [-seed 1]
-//	            [-scenarios] [-solver dense|sparse|gs|ilu|auto] [-tol 1e-12]
+//	            [-scenarios] [-solver dense|sparse|bicgstab|ilu|auto] [-tol 1e-12]
 //
 // -solver selects the linear-solver backend of the closed forms: the
 // exact dense LU (default), a sparse iterative path that keeps large
-// C/∆ state spaces affordable (bicgstab, gs, or the ILU(0)-
-// preconditioned ilu for slow-mixing chains as d → 1), or auto, which
+// C/∆ state spaces affordable (bicgstab, or the ILU(0)-preconditioned
+// ilu for slow-mixing chains as d → 1), or auto, which
 // probes each block's mixing speed and picks for you; -tol tunes the
 // iterative residual target.
 //

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	paperrepro [-outdir results] [-quick] [-only fig3,table1,...]
-//	           [-workers N] [-seed S] [-list] [-solver dense|sparse|gs|ilu|auto]
+//	           [-workers N] [-seed S] [-list] [-solver dense|sparse|bicgstab|ilu|auto]
 //	           [-tol 1e-12] [-buildworkers N] [-cpuprofile f] [-memprofile f]
 //
 // -quick shrinks the slow grids for a fast smoke run. -workers 0 (the

@@ -45,14 +45,16 @@
 //     construction to solve; internal/markov carves its transient and
 //     absorbing blocks directly out of the CSR and routes every relation
 //     through a pluggable Solver interface. The dense LU backend is the
-//     exact reference; the iterative backends (BiCGSTAB, Gauss–Seidel,
-//     residual-controlled) never materialize a dense matrix, which is
-//     what makes state spaces with thousands of transient states — C=∆
-//     up to 25 and beyond — affordable. Factorizations answer batched
-//     multi-RHS solves (SolveMat/SolveMatLeft), which the sojourn
-//     recursions exploit to issue one batched solve per block per
-//     iteration. Select a backend with NewModelWithSolver or the CLIs'
-//     -solver/-tol flags.
+//     exact reference, refused above matrix.MaxDenseOrder; the iterative
+//     backends (residual-controlled preconditioned BiCGSTAB) never
+//     materialize a dense matrix, which is what makes state spaces with
+//     thousands of transient states — C=∆ up to 25 and beyond —
+//     affordable. Every factorization has one entry point,
+//     Solve(b, x0, left), for right and left systems alike;
+//     matrix.SolveBatch answers several right-hand sides against one
+//     block, which the sojourn recursions use to issue one batched
+//     solve per block per iteration. Select a backend with
+//     NewModelWithSolver or the CLIs' -solver/-tol flags.
 //
 //   - The preconditioner and warm-start layer inside it: as the
 //     identifier-survival probability d → 1 the transient blocks mix
@@ -63,14 +65,13 @@
 //     mixing speed (matrix.MixingEstimate) and picks ILU for slow
 //     blocks, falling back stickily to dense LU — with the reason
 //     recorded in Analysis.Solver — if an iterative solve ever fails.
-//     Every Factorization also accepts initial guesses
-//     (SolveVecFrom and variants); markov.Chain records its converged
-//     vectors as a WarmStart so a neighboring parameter cell can seed
-//     its own solves from them. Choosing a solver: "dense" is the exact
+//     Every Solve also accepts an initial guess x0; markov.Chain
+//     records its converged vectors as a WarmStart so a neighboring
+//     parameter cell can seed its own solves from them. Choosing a solver: "dense" is the exact
 //     LU reference (O(n²) memory — small grids only), "bicgstab" (alias
-//     "sparse") the CSR-only default at scale, "gs" a simple
-//     Gauss–Seidel alternative, "ilu" the d → 1 regime, and "auto" the
-//     safe default for unknown grids; see the README table.
+//     "sparse") the CSR-only default at scale, "ilu" the d → 1 regime,
+//     and "auto" the safe default for unknown grids; see the README
+//     table.
 //
 //   - The parallel build pipeline above it: transition-matrix rows are
 //     constructed in independent chunks through row-local emitters and

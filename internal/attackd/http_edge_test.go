@@ -95,6 +95,12 @@ func TestUnknownModel400(t *testing.T) {
 // counts (≈ 2.05e9 and 1.8e9) used to wrap negative there and slide
 // under the state limit. The counts themselves are pinned per family in
 // chainmodel's TestFamilyStateCount.
+//
+// The C = ∆ = 60 cell (115,351 states) passes the state limit but is
+// far above matrix.MaxDenseOrder. Asking for the dense backend, or for
+// auto with a one-iteration budget that forces its dense fallback, used
+// to crash attackd with an out-of-memory fatal error as it tried to
+// densify a 99.6 GB I − T; both are now refused with 422.
 func TestStateCountInt64(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	for _, body := range []map[string]any{
@@ -105,6 +111,15 @@ func TestStateCountInt64(t *testing.T) {
 		code, msg := postJSON[errorResponse](t, ts.URL+"/v1/analyze", body)
 		if code != http.StatusBadRequest || !strings.Contains(msg.Error, "limit") {
 			t.Errorf("%v: status=%d err=%q, want 400 naming the limit", body, code, msg.Error)
+		}
+	}
+	for _, body := range []map[string]any{
+		{"c": 60, "delta": 60, "k": 1, "mu": 0.2, "d": 0.9, "nu": 0.1, "solver": "dense"},
+		{"c": 60, "delta": 60, "k": 1, "mu": 0.2, "d": 0.9, "nu": 0.1, "solver": "auto", "max_iter": 1},
+	} {
+		code, msg := postJSON[errorResponse](t, ts.URL+"/v1/analyze", body)
+		if code != http.StatusUnprocessableEntity || !strings.Contains(msg.Error, "too large") {
+			t.Errorf("%v: status=%d err=%q, want 422 naming the dense bound", body, code, msg.Error)
 		}
 	}
 	if code, _ := getJSON[map[string]string](t, ts.URL+"/healthz"); code != http.StatusOK {
@@ -167,6 +182,7 @@ func TestRequestOverrideValidation(t *testing.T) {
 		{"max_iter too large", "max_iter", maxRequestIter + 1},
 		{"negative workers", "workers", -2},
 		{"workers too large", "workers", maxRequestWorkers + 1},
+		{"removed gs backend", "solver", "gs"},
 	}
 	for _, tc := range cases {
 		req := paperCell()

@@ -3,10 +3,12 @@ package attackd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strings"
 	"sync"
 
+	"targetedattacks/internal/matrix"
 	"targetedattacks/internal/obs"
 )
 
@@ -203,7 +205,13 @@ func (s *Server) serveEvaluation(w http.ResponseWriter, r *http.Request, endpoin
 			s.metrics.singleflightShared.Add(1)
 		}
 		if err != nil {
-			s.writeError(w, r, endpoint, http.StatusInternalServerError, err)
+			// A block too large for the dense backend is a request the
+			// server refuses, not a server fault.
+			code := http.StatusInternalServerError
+			if errors.Is(err, matrix.ErrTooLarge) {
+				code = http.StatusUnprocessableEntity
+			}
+			s.writeError(w, r, endpoint, code, err)
 			return
 		}
 		s.writeJSON(w, r, endpoint, http.StatusOK, ev.finish(val, false, shared, timings()))

@@ -25,7 +25,7 @@ func New(p Params, opts ...BuildOption) (*Model, error) {
 }
 
 // NewWithSolver is New with an explicit linear-solver backend for the
-// closed-form analyses. The sparse backends ("sparse"/"bicgstab", "gs",
+// closed-form analyses. The sparse backends ("sparse"/"bicgstab", "ilu",
 // "auto") keep the whole pipeline CSR-only, which is what makes
 // large-cluster state spaces (thousands of transient states) affordable;
 // WithBuildPool parallelizes the construction of those state spaces'

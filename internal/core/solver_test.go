@@ -56,7 +56,6 @@ func assertAnalysesAgree(t *testing.T, label string, want, got *Analysis, tol fl
 func TestSolverEquivalenceOnPaperGrid(t *testing.T) {
 	sparse := []matrix.SolverConfig{
 		{Kind: "bicgstab", Tol: 1e-13},
-		{Kind: "gs", Tol: 1e-13},
 		{Kind: "ilu", Tol: 1e-13},
 		{Kind: "auto", Tol: 1e-13},
 	}

@@ -321,7 +321,7 @@ func (c *Chain) visits() ([]float64, error) {
 	if c.ws != nil {
 		seed = fit(c.ws.Visits, c.nA+c.nB)
 	}
-	y, err := ft.SolveVecLeftFrom(alphaT, seed)
+	y, err := ft.Solve(alphaT, seed, true)
 	if err != nil {
 		return nil, fmt.Errorf("markov: solving α_T(I−T)⁻¹: %w", err)
 	}
@@ -339,7 +339,7 @@ func entryVector(alphaA, alphaB []float64, fb matrix.Factorization, mba *matrix.
 	if len(alphaB) == 0 {
 		return append([]float64(nil), alphaA...), nil, nil
 	}
-	u, err = fb.SolveVecLeftFrom(alphaB, fit(x0, len(alphaB)))
+	u, err = fb.Solve(alphaB, fit(x0, len(alphaB)), true)
 	if err != nil {
 		return nil, nil, fmt.Errorf("markov: solving αB(I−M_B)⁻¹: %w", err)
 	}
@@ -428,7 +428,7 @@ func (c *Chain) successiveSojourns(n int, swapped bool) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	u, err := fa.SolveVec(matrix.Ones(len(alphaA)))
+	u, err := fa.Solve(matrix.Ones(len(alphaA)), nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -448,7 +448,7 @@ func (c *Chain) successiveSojourns(n int, swapped bool) ([]float64, error) {
 		}
 		// r ← r G, one factor at a time: two sparse left-solves and two
 		// CSR row-vector products instead of a dense G.
-		t1, err := fa.SolveVecLeft(r)
+		t1, err := fa.Solve(r, nil, true)
 		if err != nil {
 			return nil, err
 		}
@@ -456,7 +456,7 @@ func (c *Chain) successiveSojourns(n int, swapped bool) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		t3, err := fb.SolveVecLeft(t2)
+		t3, err := fb.Solve(t2, nil, true)
 		if err != nil {
 			return nil, err
 		}
@@ -470,7 +470,7 @@ func (c *Chain) successiveSojourns(n int, swapped bool) ([]float64, error) {
 // SuccessiveSojournsBoth returns the first n expected sojourn durations
 // in A and in B together (relations (7) and (8)). The two recursions are
 // advanced in lockstep: at every step the pending left systems against
-// I−M_A are batched into one SolveMatLeft call, and likewise for I−M_B —
+// I−M_A are batched into one matrix.SolveBatch call, and likewise for I−M_B —
 // one batched solve per block per iteration instead of four vector
 // solves, with each block's setup (LU factors, sparse transpose) paid
 // once per batch. The per-vector arithmetic is unchanged, so the result
@@ -518,12 +518,12 @@ func (c *Chain) SuccessiveSojournsBoth(n int) ([]float64, []float64, error) {
 		return nil, nil, err
 	}
 	c.rec.EntryB = entryB
-	uA, err := fa.SolveVecFrom(matrix.Ones(c.nA), fit(ws.UA, c.nA))
+	uA, err := fa.Solve(matrix.Ones(c.nA), fit(ws.UA, c.nA), false)
 	if err != nil {
 		return nil, nil, err
 	}
 	c.rec.UA = uA
-	uB, err := fb.SolveVecFrom(matrix.Ones(c.nB), fit(ws.UB, c.nB))
+	uB, err := fb.Solve(matrix.Ones(c.nB), fit(ws.UB, c.nB), false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -543,7 +543,7 @@ func (c *Chain) SuccessiveSojournsBoth(n int) ([]float64, []float64, error) {
 	// Pipeline prologue: the B recursion's first half-step (its fb solve)
 	// runs once on its own; from then on every fb solve of the B
 	// recursion rides in the same batch as the A recursion's.
-	sB, err := fb.SolveVecLeftFrom(rB, fit(ws.SojournPrologue, c.nB))
+	sB, err := fb.Solve(rB, fit(ws.SojournPrologue, c.nB), true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -557,7 +557,7 @@ func (c *Chain) SuccessiveSojournsBoth(n int) ([]float64, []float64, error) {
 	for i := 1; i < n; i++ {
 		// One batched solve against I−M_A: rA's step and the B
 		// recursion's second half-step.
-		xs, err := fa.SolveMatLeftFrom([][]float64{rA, pB}, fitBatch(ws.StepsA, i, 2, c.nA))
+		xs, err := matrix.SolveBatch(fa, [][]float64{rA, pB}, fitBatch(ws.StepsA, i, 2, c.nA), true)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -578,7 +578,7 @@ func (c *Chain) SuccessiveSojournsBoth(n int) ([]float64, []float64, error) {
 		if i+1 < n {
 			rhs = append(rhs, rB)
 		}
-		ys, err := fb.SolveMatLeftFrom(rhs, fitBatch(ws.StepsB, i, len(rhs), c.nB))
+		ys, err := matrix.SolveBatch(fb, rhs, fitBatch(ws.StepsB, i, len(rhs), c.nB), true)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -689,7 +689,7 @@ func (c *Chain) AbsorbedWithinA(classes ...string) (float64, error) {
 	if c.ws != nil {
 		seed = fit(c.ws.Clean, c.nA)
 	}
-	z, err := fa.SolveVecFrom(rhs, seed)
+	z, err := fa.Solve(rhs, seed, false)
 	if err != nil {
 		return 0, fmt.Errorf("markov: solving (I−M_A)⁻¹: %w", err)
 	}

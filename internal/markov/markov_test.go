@@ -419,8 +419,8 @@ func TestClassesAndSizes(t *testing.T) {
 func TestChainAcrossSolverBackends(t *testing.T) {
 	solvers := []matrix.Solver{
 		matrix.DenseSolver{},
-		matrix.GaussSeidelSolver{},
 		matrix.BiCGSTABSolver{},
+		matrix.ILUSolver{},
 		matrix.AutoSolver{},
 	}
 	for _, s := range solvers {
@@ -505,11 +505,11 @@ func TestDefaultSolverIsDense(t *testing.T) {
 // TestSuccessiveSojournsBothMatchesSingle pins the lockstep batching of
 // the A and B sojourn recursions: SuccessiveSojournsBoth runs the exact
 // per-vector arithmetic of the two single-subset recursions through
-// batched SolveMatLeft calls, so its outputs must be bit-identical to
+// batched matrix.SolveBatch calls, so its outputs must be bit-identical to
 // SuccessiveSojournsInA / SuccessiveSojournsInB — on the analytic
 // two-state chain, on random chains, and across solver backends.
 func TestSuccessiveSojournsBothMatchesSingle(t *testing.T) {
-	solvers := []matrix.Solver{nil, matrix.GaussSeidelSolver{}, matrix.BiCGSTABSolver{}}
+	solvers := []matrix.Solver{nil, matrix.BiCGSTABSolver{}, matrix.ILUSolver{}}
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 6; trial++ {
 		nA := 1 + r.Intn(4)

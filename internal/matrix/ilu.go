@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -45,21 +44,14 @@ func (ILUSolver) Name() string { return "ilu" }
 // factorization is cheap — O(Σ_rows nnz(row)²) — and every solve needs
 // it).
 func (s ILUSolver) Factor(m *CSR) (Factorization, error) {
-	if m.Rows() != m.Cols() {
-		return nil, fmt.Errorf("matrix: Factor requires a square matrix, got %dx%d", m.Rows(), m.Cols())
-	}
-	tol, maxIter := s.Tol, s.MaxIter
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if maxIter <= 0 {
-		maxIter = DefaultBiCGSTABMaxIter
+	if err := checkSquare(m); err != nil {
+		return nil, err
 	}
 	lu, err := factorILU0(m)
 	if err != nil {
 		return nil, err
 	}
-	return &iluFactorization{m: m, lu: lu, tol: tol, maxIter: maxIter}, nil
+	return newKrylov(m, nil, lu, s.Tol, s.MaxIter), nil
 }
 
 // iluPivotFloor rejects pivots that would turn the triangular solves
@@ -191,84 +183,4 @@ func (lu *iluFactors) applyTransposed(r, z []float64) {
 			z[colIdx[k]] -= vals[k] * zi
 		}
 	}
-}
-
-type iluFactorization struct {
-	m       *CSR
-	mT      *CSR // lazily built transpose, for left systems
-	lu      *iluFactors
-	tol     float64
-	maxIter int
-	iters   int64
-}
-
-func (f *iluFactorization) Order() int { return f.m.Rows() }
-
-// solve runs ILU(0)-preconditioned BiCGSTAB on a (M for right systems,
-// Mᵀ for left ones) with the matching preconditioner orientation.
-func (f *iluFactorization) solve(b, x0 []float64, a *CSR, precond func(r, z []float64)) ([]float64, error) {
-	n := a.Rows()
-	if len(b) != n {
-		return nil, fmt.Errorf("matrix: solve rhs length %d does not match order %d", len(b), n)
-	}
-	if err := checkGuess(x0, n); err != nil {
-		return nil, err
-	}
-	tmp := make([]float64, n)
-	matvec := func(x, dst []float64) {
-		_ = a.MulVecInto(x, tmp)
-		for i := range dst {
-			dst[i] = x[i] - tmp[i]
-		}
-	}
-	x, iters, _, err := bicgstab(matvec, precond, b, x0, f.tol, f.maxIter)
-	f.iters += int64(iters)
-	if err != nil {
-		var ce *ConvergenceError
-		if errors.As(err, &ce) {
-			ce.Method = "ilu-bicgstab"
-		}
-	}
-	return x, err
-}
-
-func (f *iluFactorization) SolveVec(b []float64) ([]float64, error) {
-	return f.SolveVecFrom(b, nil)
-}
-
-func (f *iluFactorization) SolveVecFrom(b, x0 []float64) ([]float64, error) {
-	return f.solve(b, x0, f.m, f.lu.apply)
-}
-
-func (f *iluFactorization) SolveVecLeft(b []float64) ([]float64, error) {
-	return f.SolveVecLeftFrom(b, nil)
-}
-
-func (f *iluFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) {
-	if f.mT == nil {
-		f.mT = f.m.Transpose()
-	}
-	return f.solve(b, x0, f.mT, f.lu.applyTransposed)
-}
-
-func (f *iluFactorization) SolveMat(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVec)
-}
-
-// SolveMatLeft shares the lazily built transpose of SolveVecLeft across
-// the batch: the first column pays it, the rest reuse it.
-func (f *iluFactorization) SolveMatLeft(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVecLeft)
-}
-
-func (f *iluFactorization) SolveMatFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecFrom)
-}
-
-func (f *iluFactorization) SolveMatLeftFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecLeftFrom)
-}
-
-func (f *iluFactorization) Stats() SolveStats {
-	return SolveStats{Backend: "ilu", Iterations: f.iters}
 }

@@ -111,7 +111,7 @@ func TestILUAppliesInverse(t *testing.T) {
 	}
 	z := make([]float64, n)
 	lu.apply(b, z)
-	want, err := dense.SolveVec(b)
+	want, err := dense.Solve(b, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestILUAppliesInverse(t *testing.T) {
 		}
 	}
 	lu.applyTransposed(b, z)
-	wantT, err := dense.SolveVecLeft(b)
+	wantT, err := dense.Solve(b, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +138,12 @@ func TestILUAppliesInverse(t *testing.T) {
 func TestILUSolvesSlowMixingChain(t *testing.T) {
 	const n = 400
 	m := pathChain(t, n)
-	want, err := must(DenseSolver{}.Factor(m)).SolveVec(Ones(n))
+	want, err := must(DenseSolver{}.Factor(m)).Solve(Ones(n), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := must(ILUSolver{}.Factor(m))
-	x, err := f.SolveVec(Ones(n))
+	x, err := f.Solve(Ones(n), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestILUSolvesSlowMixingChain(t *testing.T) {
 		t.Errorf("Backend = %q, want ilu", ilu.Backend)
 	}
 	g := must(BiCGSTABSolver{}.Factor(m))
-	if _, err := g.SolveVec(Ones(n)); err != nil {
+	if _, err := g.Solve(Ones(n), nil, false); err != nil {
 		t.Fatal(err)
 	}
 	if gs := g.Stats(); ilu.Iterations*4 > gs.Iterations {
@@ -172,17 +172,17 @@ func TestILUSolvesSlowMixingChain(t *testing.T) {
 func TestWarmStartCutsIterations(t *testing.T) {
 	const n = 200
 	m := pathChain(t, n)
-	for _, s := range []Solver{BiCGSTABSolver{}, ILUSolver{}, GaussSeidelSolver{}, AutoSolver{}} {
+	for _, s := range []Solver{BiCGSTABSolver{}, ILUSolver{}, AutoSolver{}} {
 		f := must(s.Factor(m))
 		b := Ones(n)
-		x, err := f.SolveVec(b)
+		x, err := f.Solve(b, nil, false)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 		cold := f.Stats().Iterations
 		// Re-solving the same system from its own solution must cost no
 		// iterations: the guess already satisfies the residual criterion.
-		if _, err := f.SolveVecFrom(b, x); err != nil {
+		if _, err := f.Solve(b, x, false); err != nil {
 			t.Fatalf("%s warm re-solve: %v", s.Name(), err)
 		}
 		if again := f.Stats().Iterations - cold; again != 0 {
@@ -194,7 +194,7 @@ func TestWarmStartCutsIterations(t *testing.T) {
 		for i := range b2 {
 			b2[i] = 1 + 1e-6*math.Cos(float64(i))
 		}
-		warmX, err := f.SolveVecFrom(b2, x)
+		warmX, err := f.Solve(b2, x, false)
 		if err != nil {
 			t.Fatalf("%s warm: %v", s.Name(), err)
 		}
@@ -202,7 +202,7 @@ func TestWarmStartCutsIterations(t *testing.T) {
 		if warm > cold {
 			t.Errorf("%s: warm solve took %d iterations, cold took %d; want no more", s.Name(), warm, cold)
 		}
-		want, err := must(DenseSolver{}.Factor(m)).SolveVec(b2)
+		want, err := must(DenseSolver{}.Factor(m)).Solve(b2, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,14 +222,14 @@ func TestWarmStartRejectsWrongLength(t *testing.T) {
 	m := pathChain(t, 10)
 	for _, s := range solverBackends(t) {
 		f := must(s.Factor(m))
-		if _, err := f.SolveVecFrom(Ones(10), Ones(9)); err == nil {
-			t.Errorf("%s: SolveVecFrom accepted a length-9 guess for order 10", s.Name())
+		if _, err := f.Solve(Ones(10), Ones(9), false); err == nil {
+			t.Errorf("%s: Solve accepted a length-9 guess for order 10", s.Name())
 		}
-		if _, err := f.SolveVecLeftFrom(Ones(10), Ones(11)); err == nil {
-			t.Errorf("%s: SolveVecLeftFrom accepted a length-11 guess for order 10", s.Name())
+		if _, err := f.Solve(Ones(10), Ones(11), true); err == nil {
+			t.Errorf("%s: left Solve accepted a length-11 guess for order 10", s.Name())
 		}
-		if _, err := f.SolveMatFrom([][]float64{Ones(10)}, [][]float64{Ones(9), Ones(9)}); err == nil {
-			t.Errorf("%s: SolveMatFrom accepted 2 guesses for 1 rhs", s.Name())
+		if _, err := SolveBatch(f, [][]float64{Ones(10)}, [][]float64{Ones(9), Ones(9)}, false); err == nil {
+			t.Errorf("%s: SolveBatch accepted 2 guesses for 1 rhs", s.Name())
 		}
 	}
 }
@@ -253,14 +253,14 @@ func TestMixingEstimate(t *testing.T) {
 // slow-mixing blocks to ILU and fast-mixing blocks to plain BiCGSTAB.
 func TestAutoPicksPreconditionerByMixing(t *testing.T) {
 	slow := must(AutoSolver{}.Factor(pathChain(t, 300)))
-	if _, err := slow.SolveVec(Ones(300)); err != nil {
+	if _, err := slow.Solve(Ones(300), nil, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := slow.Stats().Backend; got != "ilu" {
 		t.Errorf("slow-mixing block routed to %q, want ilu", got)
 	}
 	fast := must(AutoSolver{}.Factor(lazyChain(t, 300)))
-	if _, err := fast.SolveVec(Ones(300)); err != nil {
+	if _, err := fast.Solve(Ones(300), nil, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := fast.Stats().Backend; got != "bicgstab" {
@@ -279,10 +279,10 @@ func TestAutoFallbackDiagnostics(t *testing.T) {
 	if st := f.Stats(); st.Fallbacks != 0 || st.FallbackReason != FallbackNone {
 		t.Fatalf("pre-solve stats report a fallback: %+v", st)
 	}
-	if _, err := f.SolveVec(Ones(n)); err != nil {
+	if _, err := f.Solve(Ones(n), nil, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.SolveVecLeft(Ones(n)); err != nil {
+	if _, err := f.Solve(Ones(n), nil, true); err != nil {
 		t.Fatal(err)
 	}
 	st := f.Stats()

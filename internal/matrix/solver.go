@@ -11,7 +11,7 @@ import (
 // Every closed-form relation of the absorbing-chain analytics reduces to
 // systems with the matrix A = I − M, where M is a substochastic CSR block
 // of the transition matrix (spectral radius < 1). A Solver prepares a
-// Factorization of I − M once; the Factorization then answers right
+// Factorization of I − M once; its one Solve method then answers right
 // systems (I−M)x = b and left (row-vector) systems x(I−M) = b, so a
 // single prepared block serves several relations.
 //
@@ -19,37 +19,42 @@ import (
 //
 //   - DenseSolver: the exact LU path. It densifies I − M and factors it
 //     with partial pivoting — O(n³) but backward stable; the fallback and
-//     cross-check reference.
-//   - Iterative solvers (GaussSeidelSolver, BiCGSTABSolver, ILUSolver):
-//     sparse residual-controlled iterations that never materialize a
-//     dense matrix, making state spaces with hundreds of thousands of
-//     transient states affordable. BiCGSTAB preconditions with fixed
-//     Gauss–Seidel sweeps; ILUSolver preconditions the same Krylov
-//     iteration with an ILU(0) factorization, which keeps the iteration
-//     count flat as the chain's mixing slows (d → 1).
+//     cross-check reference, refused above MaxDenseOrder.
+//   - Iterative solvers (BiCGSTABSolver, ILUSolver): one preconditioned
+//     BiCGSTAB iteration that never materializes a dense matrix, making
+//     state spaces with hundreds of thousands of transient states
+//     affordable. BiCGSTABSolver preconditions with fixed Gauss–Seidel
+//     sweeps; ILUSolver preconditions with an ILU(0) factorization,
+//     which keeps the iteration count flat as the chain's mixing slows
+//     (d → 1).
 //   - AutoSolver composes them: probe the block's mixing speed, iterate
 //     sparsely with the matching preconditioner, densify only if the
 //     iteration fails to converge.
 //
-// Iterative factorizations accept a warm start (SolveVecFrom and
-// friends): an initial guess x0 from a nearby system — the previous cell
-// of a parameter sweep, the previous step of a sojourn recursion — cuts
-// the iteration count without changing the convergence criterion.
+// Iterative factorizations accept a warm start: an initial guess x0 from
+// a nearby system — the previous cell of a parameter sweep, the previous
+// step of a sojourn recursion — cuts the iteration count without
+// changing the convergence criterion.
 
 // ErrNoConvergence is returned when an iterative solve fails to reach its
 // residual tolerance within its iteration budget.
 var ErrNoConvergence = errors.New("matrix: iterative solve did not converge")
 
-// Default iterative-solver controls.
+// ErrTooLarge is returned when the dense backend is asked to factor a
+// block of order above MaxDenseOrder.
+var ErrTooLarge = errors.New("matrix: system too large for the dense backend")
+
+// Default solver controls.
 const (
 	// DefaultTol is the default residual tolerance of the iterative
 	// solvers: a solve x is accepted when
 	// ‖b − Ax‖∞ ≤ tol · (‖b‖∞ + ‖x‖∞).
 	DefaultTol = 1e-12
-	// DefaultGSMaxIter bounds Gauss–Seidel sweeps.
-	DefaultGSMaxIter = 500_000
 	// DefaultBiCGSTABMaxIter bounds BiCGSTAB iterations.
 	DefaultBiCGSTABMaxIter = 100_000
+	// MaxDenseOrder bounds the order the dense backend densifies: I − M
+	// and its LU factors take 2·n²·8 bytes, 256 MB at this order.
+	MaxDenseOrder = 4096
 )
 
 // ConvergenceError is the detailed failure of an iterative solve. It
@@ -59,7 +64,8 @@ const (
 // two point at different remedies — a bigger budget / better
 // preconditioner versus a fundamentally ill-suited Krylov method).
 type ConvergenceError struct {
-	// Method names the iteration ("bicgstab", "gauss-seidel", "ilu").
+	// Method names the iteration: "bicgstab" (Gauss–Seidel
+	// preconditioned) or "ilu-bicgstab".
 	Method string
 	// Iterations is the number of iterations performed before giving up.
 	Iterations int
@@ -110,11 +116,10 @@ func classifyFallback(err error) FallbackReason {
 // the Factorization itself they are not safe for concurrent use.
 type SolveStats struct {
 	// Backend names the backend that served the solves ("dense",
-	// "bicgstab", "ilu", ...). For the auto backend it names the chosen
+	// "bicgstab", "ilu"). For the auto backend it names the chosen
 	// sparse backend even after a fallback (Fallbacks tells the rest).
 	Backend string
-	// Iterations is the cumulative iterative work: Krylov iterations for
-	// BiCGSTAB/ILU, sweeps for Gauss–Seidel, 0 for dense.
+	// Iterations is the cumulative Krylov iteration count, 0 for dense.
 	Iterations int64
 	// Fallbacks counts solves answered by the auto backend's dense
 	// fallback instead of the sparse path.
@@ -141,37 +146,13 @@ func (s SolveStats) Plus(o SolveStats) SolveStats {
 // Factorization is a prepared solving context for A = I − M.
 // Implementations are not safe for concurrent use.
 type Factorization interface {
-	// Order returns the dimension of the system.
-	Order() int
-	// SolveVec solves (I − M) x = b.
-	SolveVec(b []float64) ([]float64, error)
-	// SolveVecLeft solves the row-vector system x (I − M) = b,
-	// i.e. (I − M)ᵀ xᵀ = bᵀ.
-	SolveVecLeft(b []float64) ([]float64, error)
-	// SolveVecFrom is SolveVec warm-started from the initial guess x0
-	// (same convergence criterion, fewer iterations when x0 is close).
-	// A nil x0 is the cold start; a non-nil x0 must have length Order().
-	// The dense backend ignores the guess. x0 is read, never written.
-	SolveVecFrom(b, x0 []float64) ([]float64, error)
-	// SolveVecLeftFrom is SolveVecLeft warm-started from x0.
-	SolveVecLeftFrom(b, x0 []float64) ([]float64, error)
-	// SolveMat solves (I − M) X = B for a batch of right-hand sides
-	// (bs[i] is one RHS vector): one prepared-block pass answers every
-	// column, so callers with several systems against the same block
-	// issue a single batched call. Column i of the result solves bs[i];
-	// columns are solved with the same arithmetic as SolveVec, so a
-	// batched solve is bit-identical to the vector-at-a-time loop.
-	SolveMat(bs [][]float64) ([][]float64, error)
-	// SolveMatLeft is the batched counterpart of SolveVecLeft: it solves
-	// x_i (I − M) = bs[i] for every i, sharing the per-block setup (LU
-	// factors, lazily built sparse transpose) across the batch.
-	SolveMatLeft(bs [][]float64) ([][]float64, error)
-	// SolveMatFrom is SolveMat with one warm-start guess per column;
-	// x0s may be nil (all cold), else len(x0s) must equal len(bs) and
-	// individual entries may be nil.
-	SolveMatFrom(bs, x0s [][]float64) ([][]float64, error)
-	// SolveMatLeftFrom is the batched, warm-started left solve.
-	SolveMatLeftFrom(bs, x0s [][]float64) ([][]float64, error)
+	// Solve solves (I − M) x = b, or with left set the row-vector system
+	// x (I − M) = b, i.e. (I − M)ᵀ xᵀ = bᵀ. x0 warm-starts the
+	// iteration (same convergence criterion, fewer iterations when x0 is
+	// close); nil is the cold start, and a non-nil x0 must match the
+	// system order. The dense backend checks the guess, then ignores it.
+	// x0 is read, never written.
+	Solve(b, x0 []float64, left bool) ([]float64, error)
 	// Stats reports the cumulative work of all solves so far.
 	Stats() SolveStats
 }
@@ -179,10 +160,18 @@ type Factorization interface {
 // Solver prepares factorizations of I − M for square substochastic CSR
 // blocks M.
 type Solver interface {
-	// Name identifies the backend ("dense", "gauss-seidel", ...).
+	// Name identifies the backend ("dense", "bicgstab", ...).
 	Name() string
 	// Factor prepares I − m for repeated solves.
 	Factor(m *CSR) (Factorization, error)
+}
+
+// checkSquare rejects non-square blocks before any backend prepares them.
+func checkSquare(m *CSR) error {
+	if m.Rows() != m.Cols() {
+		return fmt.Errorf("matrix: Factor requires a square matrix, got %dx%d", m.Rows(), m.Cols())
+	}
+	return nil
 }
 
 // checkGuess validates a warm-start guess against the system order.
@@ -193,12 +182,13 @@ func checkGuess(x0 []float64, n int) error {
 	return nil
 }
 
-// solveBatchFrom answers a batch of systems through one per-vector solve
-// function, after the caller has paid any shared setup (LU factors,
-// transpose) once. Each column gets exactly the arithmetic of the
-// corresponding vector call, so batched and looped solves agree
-// bit-for-bit.
-func solveBatchFrom(bs, x0s [][]float64, solve func(b, x0 []float64) ([]float64, error)) ([][]float64, error) {
+// SolveBatch solves one system against f per right-hand side bs[i],
+// warm-started from x0s[i]; x0s may be nil (all cold), else it must have
+// one entry per right-hand side, and entries may be nil. Column i gets
+// exactly the arithmetic of f.Solve(bs[i], x0s[i], left), so batched and
+// looped solves agree bit-for-bit, while per-block setup (LU factors, a
+// lazily built sparse transpose) is paid once, by the first column.
+func SolveBatch(f Factorization, bs, x0s [][]float64, left bool) ([][]float64, error) {
 	if x0s != nil && len(x0s) != len(bs) {
 		return nil, fmt.Errorf("matrix: batched warm start has %d guesses for %d right-hand sides", len(x0s), len(bs))
 	}
@@ -208,7 +198,7 @@ func solveBatchFrom(bs, x0s [][]float64, solve func(b, x0 []float64) ([]float64,
 		if x0s != nil {
 			x0 = x0s[i]
 		}
-		x, err := solve(b, x0)
+		x, err := f.Solve(b, x0, left)
 		if err != nil {
 			return nil, fmt.Errorf("matrix: batched solve, rhs %d of %d: %w", i, len(bs), err)
 		}
@@ -217,16 +207,12 @@ func solveBatchFrom(bs, x0s [][]float64, solve func(b, x0 []float64) ([]float64,
 	return out, nil
 }
 
-// solveBatch is solveBatchFrom with every column cold.
-func solveBatch(bs [][]float64, solve func(b []float64) ([]float64, error)) ([][]float64, error) {
-	return solveBatchFrom(bs, nil, func(b, _ []float64) ([]float64, error) { return solve(b) })
-}
-
 // ---------------------------------------------------------------------------
 // Dense LU backend.
 
 // DenseSolver densifies I − M and solves with LU partial pivoting: the
-// exact reference backend.
+// exact reference backend. It refuses blocks of order above
+// MaxDenseOrder with ErrTooLarge.
 type DenseSolver struct{}
 
 // Name implements Solver.
@@ -234,8 +220,13 @@ func (DenseSolver) Name() string { return "dense" }
 
 // Factor implements Solver.
 func (DenseSolver) Factor(m *CSR) (Factorization, error) {
-	if m.Rows() != m.Cols() {
-		return nil, fmt.Errorf("matrix: Factor requires a square matrix, got %dx%d", m.Rows(), m.Cols())
+	if err := checkSquare(m); err != nil {
+		return nil, err
+	}
+	// The order is compared before n² is formed, so the check cannot
+	// wrap where int is 32 bits.
+	if m.Rows() > MaxDenseOrder {
+		return nil, fmt.Errorf("%w: order %d exceeds %d", ErrTooLarge, m.Rows(), MaxDenseOrder)
 	}
 	a := Identity(m.Rows())
 	for i := 0; i < m.Rows(); i++ {
@@ -255,9 +246,12 @@ type denseFactorization struct {
 	lu *LU
 }
 
-func (f *denseFactorization) Order() int { return f.a.Rows() }
-
-func (f *denseFactorization) factor() (*LU, error) {
+// Solve validates and then discards the guess: direct solves have no
+// iteration to shorten.
+func (f *denseFactorization) Solve(b, x0 []float64, left bool) ([]float64, error) {
+	if err := checkGuess(x0, f.a.Rows()); err != nil {
+		return nil, err
+	}
 	if f.lu == nil {
 		lu, err := FactorLU(f.a)
 		if err != nil {
@@ -265,242 +259,16 @@ func (f *denseFactorization) factor() (*LU, error) {
 		}
 		f.lu = lu
 	}
-	return f.lu, nil
-}
-
-func (f *denseFactorization) SolveVec(b []float64) ([]float64, error) {
-	lu, err := f.factor()
-	if err != nil {
-		return nil, err
+	if left {
+		return f.lu.SolveVecTransposed(b)
 	}
-	return lu.SolveVec(b)
-}
-
-func (f *denseFactorization) SolveVecLeft(b []float64) ([]float64, error) {
-	lu, err := f.factor()
-	if err != nil {
-		return nil, err
-	}
-	return lu.SolveVecTransposed(b)
-}
-
-// SolveVecFrom validates and then discards the guess: direct solves have
-// no iteration to shorten.
-func (f *denseFactorization) SolveVecFrom(b, x0 []float64) ([]float64, error) {
-	if err := checkGuess(x0, f.Order()); err != nil {
-		return nil, err
-	}
-	return f.SolveVec(b)
-}
-
-func (f *denseFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) {
-	if err := checkGuess(x0, f.Order()); err != nil {
-		return nil, err
-	}
-	return f.SolveVecLeft(b)
-}
-
-func (f *denseFactorization) SolveMat(bs [][]float64) ([][]float64, error) {
-	lu, err := f.factor()
-	if err != nil {
-		return nil, err
-	}
-	return solveBatch(bs, lu.SolveVec)
-}
-
-func (f *denseFactorization) SolveMatLeft(bs [][]float64) ([][]float64, error) {
-	lu, err := f.factor()
-	if err != nil {
-		return nil, err
-	}
-	return solveBatch(bs, lu.SolveVecTransposed)
-}
-
-func (f *denseFactorization) SolveMatFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecFrom)
-}
-
-func (f *denseFactorization) SolveMatLeftFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecLeftFrom)
+	return f.lu.SolveVec(b)
 }
 
 func (f *denseFactorization) Stats() SolveStats { return SolveStats{Backend: "dense"} }
 
 // ---------------------------------------------------------------------------
-// Gauss–Seidel backend.
-
-// GaussSeidelSolver solves (I−M)x = b by forward Gauss–Seidel sweeps over
-// the CSR rows, with residual-controlled convergence. It never builds a
-// dense matrix; left systems sweep over the (sparse) transpose, built
-// lazily once per factorization.
-type GaussSeidelSolver struct {
-	// Tol is the residual tolerance; 0 selects DefaultTol.
-	Tol float64
-	// MaxIter bounds the number of sweeps; 0 selects DefaultGSMaxIter.
-	MaxIter int
-}
-
-// Name implements Solver.
-func (GaussSeidelSolver) Name() string { return "gauss-seidel" }
-
-// Factor implements Solver.
-func (s GaussSeidelSolver) Factor(m *CSR) (Factorization, error) {
-	if m.Rows() != m.Cols() {
-		return nil, fmt.Errorf("matrix: Factor requires a square matrix, got %dx%d", m.Rows(), m.Cols())
-	}
-	tol, maxIter := s.Tol, s.MaxIter
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if maxIter <= 0 {
-		maxIter = DefaultGSMaxIter
-	}
-	diag := m.Diagonal()
-	for i, d := range diag {
-		if 1-d <= 0 {
-			return nil, fmt.Errorf("%w: diagonal of I−M is %v at row %d", ErrSingular, 1-d, i)
-		}
-	}
-	return &gsFactorization{m: m, diag: diag, tol: tol, maxIter: maxIter}, nil
-}
-
-type gsFactorization struct {
-	m       *CSR
-	mT      *CSR // lazily built transpose for left systems
-	diag    []float64
-	tol     float64
-	maxIter int
-	iters   int64
-}
-
-func (f *gsFactorization) Order() int { return f.m.Rows() }
-
-func (f *gsFactorization) SolveVec(b []float64) ([]float64, error) {
-	return f.SolveVecFrom(b, nil)
-}
-
-func (f *gsFactorization) SolveVecFrom(b, x0 []float64) ([]float64, error) {
-	x, sweeps, err := gaussSeidel(f.m, f.diag, b, x0, f.tol, f.maxIter)
-	f.iters += int64(sweeps)
-	return x, err
-}
-
-func (f *gsFactorization) SolveVecLeft(b []float64) ([]float64, error) {
-	return f.SolveVecLeftFrom(b, nil)
-}
-
-func (f *gsFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) {
-	if f.mT == nil {
-		f.mT = f.m.Transpose()
-	}
-	x, sweeps, err := gaussSeidel(f.mT, f.diag, b, x0, f.tol, f.maxIter)
-	f.iters += int64(sweeps)
-	return x, err
-}
-
-func (f *gsFactorization) SolveMat(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVec)
-}
-
-// SolveMatLeft shares the lazily built transpose of SolveVecLeft across
-// the batch: the first column pays it, the rest reuse it.
-func (f *gsFactorization) SolveMatLeft(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVecLeft)
-}
-
-func (f *gsFactorization) SolveMatFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecFrom)
-}
-
-func (f *gsFactorization) SolveMatLeftFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecLeftFrom)
-}
-
-func (f *gsFactorization) Stats() SolveStats {
-	return SolveStats{Backend: "gauss-seidel", Iterations: f.iters}
-}
-
-// gaussSeidel iterates x_i ← (b_i + Σ_{j≠i} M_ij x_j) / (1 − M_ii) until
-// the residual of (I−M)x = b satisfies ‖b − Ax‖∞ ≤ tol·(‖b‖∞ + ‖x‖∞).
-// diag must be the diagonal of M (shared by M and Mᵀ). A nil x0 starts
-// from b (the natural first iterate for A ≈ I); the sweep count is
-// returned alongside the solution for work accounting.
-func gaussSeidel(m *CSR, diag []float64, b, x0 []float64, tol float64, maxIter int) ([]float64, int, error) {
-	n := m.Rows()
-	if len(b) != n {
-		return nil, 0, fmt.Errorf("matrix: SolveVec rhs length %d does not match order %d", len(b), n)
-	}
-	if err := checkGuess(x0, n); err != nil {
-		return nil, 0, err
-	}
-	var x []float64
-	if x0 != nil {
-		x = append([]float64(nil), x0...)
-		// A warm start may already satisfy the criterion (e.g. re-solving
-		// a system from its own solution); check before sweeping.
-		if res, scale := iMinusResidual(m, x, b); res <= tol*scale {
-			return x, 0, nil
-		}
-	} else {
-		x = append([]float64(nil), b...)
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		var maxDiff, maxX float64
-		for i := 0; i < n; i++ {
-			s := b[i]
-			for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-				if j := m.colIdx[k]; j != i {
-					s += m.vals[k] * x[j]
-				}
-			}
-			nx := s / (1 - diag[i])
-			if d := math.Abs(nx - x[i]); d > maxDiff {
-				maxDiff = d
-			}
-			if a := math.Abs(nx); a > maxX {
-				maxX = a
-			}
-			x[i] = nx
-		}
-		// The sweep has stagnated; confirm with the true residual (the
-		// update norm underestimates the error for slowly mixing chains).
-		if maxDiff <= tol*(1+maxX) {
-			if res, scale := iMinusResidual(m, x, b); res <= tol*scale {
-				return x, iter + 1, nil
-			}
-		}
-	}
-	if res, scale := iMinusResidual(m, x, b); res <= tol*scale {
-		return x, maxIter, nil
-	}
-	return nil, maxIter, &ConvergenceError{Method: "gauss-seidel", Iterations: maxIter, N: n, Tol: tol}
-}
-
-// iMinusResidual returns ‖b − (I−M)x‖∞ and the convergence scale
-// ‖b‖∞ + ‖x‖∞ (a backward-error-style criterion that stays achievable
-// when the solution is large, as it is for long-lived chains).
-func iMinusResidual(m *CSR, x, b []float64) (res, scale float64) {
-	var maxB, maxX float64
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * x[m.colIdx[k]]
-		}
-		if r := math.Abs(b[i] - (x[i] - s)); r > res {
-			res = r
-		}
-		if a := math.Abs(b[i]); a > maxB {
-			maxB = a
-		}
-		if a := math.Abs(x[i]); a > maxX {
-			maxX = a
-		}
-	}
-	return res, maxB + maxX + 1e-300
-}
-
-// ---------------------------------------------------------------------------
-// BiCGSTAB backend.
+// Preconditioned BiCGSTAB backends.
 
 // BiCGSTABSolver solves (I−M)x = b with the biconjugate gradient
 // stabilized method of van der Vorst: a Krylov iteration for
@@ -527,15 +295,8 @@ func (BiCGSTABSolver) Name() string { return "bicgstab" }
 
 // Factor implements Solver.
 func (s BiCGSTABSolver) Factor(m *CSR) (Factorization, error) {
-	if m.Rows() != m.Cols() {
-		return nil, fmt.Errorf("matrix: Factor requires a square matrix, got %dx%d", m.Rows(), m.Cols())
-	}
-	tol, maxIter := s.Tol, s.MaxIter
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if maxIter <= 0 {
-		maxIter = DefaultBiCGSTABMaxIter
+	if err := checkSquare(m); err != nil {
+		return nil, err
 	}
 	diag := m.Diagonal()
 	invDiag := make([]float64, len(diag))
@@ -545,7 +306,7 @@ func (s BiCGSTABSolver) Factor(m *CSR) (Factorization, error) {
 		}
 		invDiag[i] = 1 / (1 - d)
 	}
-	return &bicgstabFactorization{m: m, invDiag: invDiag, tol: tol, maxIter: maxIter}, nil
+	return newKrylov(m, invDiag, nil, s.Tol, s.MaxIter), nil
 }
 
 // bicgstabPrecondSweeps is the fixed number of forward Gauss–Seidel
@@ -553,17 +314,6 @@ func (s BiCGSTABSolver) Factor(m *CSR) (Factorization, error) {
 // Krylov iteration count again relative to one at ~1 extra matvec of
 // cost each.
 const bicgstabPrecondSweeps = 2
-
-type bicgstabFactorization struct {
-	m       *CSR
-	mT      *CSR      // lazily built transpose, for left systems
-	invDiag []float64 // 1/(1−M_ii), shared by M and Mᵀ
-	tol     float64
-	maxIter int
-	iters   int64
-}
-
-func (f *bicgstabFactorization) Order() int { return f.m.Rows() }
 
 // gsSweepsInto writes into z the result of bicgstabPrecondSweeps forward
 // Gauss–Seidel sweeps for (I−M)z = r starting from z = 0: the
@@ -595,10 +345,53 @@ func gsSweepsInto(m *CSR, invDiag, r, z []float64) {
 	}
 }
 
-// solve runs the preconditioned iteration on a, which is M for right
-// systems and Mᵀ for left ones (so both orientations see a plain
-// (I−a)x = b system).
-func (f *bicgstabFactorization) solve(b, x0 []float64, a *CSR) ([]float64, error) {
+// krylovFactorization is the factorization of both iterative backends:
+// preconditioned BiCGSTAB on I − M for right systems and on I − Mᵀ for
+// left ones. The backends differ only in the preconditioner they put
+// here: Gauss–Seidel sweeps on M or Mᵀ (invDiag), or the ILU(0) factors
+// applied directly or transposed (lu).
+type krylovFactorization struct {
+	m       *CSR
+	mT      *CSR        // lazily built transpose, for left systems
+	invDiag []float64   // 1/(1−M_ii), shared by M and Mᵀ; nil with lu
+	lu      *iluFactors // ILU(0) factors of I − M; nil for GS sweeps
+	tol     float64
+	maxIter int
+	iters   int64
+}
+
+// newKrylov applies the default tolerance and iteration budget.
+func newKrylov(m *CSR, invDiag []float64, lu *iluFactors, tol float64, maxIter int) *krylovFactorization {
+	if tol <= 0 {
+		tol = DefaultTol
+	}
+	if maxIter <= 0 {
+		maxIter = DefaultBiCGSTABMaxIter
+	}
+	return &krylovFactorization{m: m, invDiag: invDiag, lu: lu, tol: tol, maxIter: maxIter}
+}
+
+// precond writes z = P⁻¹r for the iteration matrix a (M, or Mᵀ when
+// left is set).
+func (f *krylovFactorization) precond(a *CSR, left bool, r, z []float64) {
+	switch {
+	case f.lu == nil:
+		gsSweepsInto(a, f.invDiag, r, z)
+	case left:
+		f.lu.applyTransposed(r, z)
+	default:
+		f.lu.apply(r, z)
+	}
+}
+
+func (f *krylovFactorization) Solve(b, x0 []float64, left bool) ([]float64, error) {
+	a := f.m
+	if left {
+		if f.mT == nil {
+			f.mT = f.m.Transpose()
+		}
+		a = f.mT
+	}
 	n := a.Rows()
 	if len(b) != n {
 		return nil, fmt.Errorf("matrix: solve rhs length %d does not match order %d", len(b), n)
@@ -613,52 +406,20 @@ func (f *bicgstabFactorization) solve(b, x0 []float64, a *CSR) ([]float64, error
 			dst[i] = x[i] - tmp[i]
 		}
 	}
-	precond := func(r, z []float64) {
-		gsSweepsInto(a, f.invDiag, r, z)
+	method := "bicgstab"
+	if f.lu != nil {
+		method = "ilu-bicgstab"
 	}
-	x, iters, _, err := bicgstab(matvec, precond, b, x0, f.tol, f.maxIter)
+	precond := func(r, z []float64) { f.precond(a, left, r, z) }
+	x, iters, err := bicgstab(method, matvec, precond, b, x0, f.tol, f.maxIter)
 	f.iters += int64(iters)
 	return x, err
 }
 
-func (f *bicgstabFactorization) SolveVec(b []float64) ([]float64, error) {
-	return f.solve(b, nil, f.m)
-}
-
-func (f *bicgstabFactorization) SolveVecFrom(b, x0 []float64) ([]float64, error) {
-	return f.solve(b, x0, f.m)
-}
-
-func (f *bicgstabFactorization) SolveVecLeft(b []float64) ([]float64, error) {
-	return f.SolveVecLeftFrom(b, nil)
-}
-
-func (f *bicgstabFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) {
-	if f.mT == nil {
-		f.mT = f.m.Transpose()
+func (f *krylovFactorization) Stats() SolveStats {
+	if f.lu != nil {
+		return SolveStats{Backend: "ilu", Iterations: f.iters}
 	}
-	return f.solve(b, x0, f.mT)
-}
-
-func (f *bicgstabFactorization) SolveMat(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVec)
-}
-
-// SolveMatLeft shares the lazily built transpose of SolveVecLeft across
-// the batch: the first column pays it, the rest reuse it.
-func (f *bicgstabFactorization) SolveMatLeft(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVecLeft)
-}
-
-func (f *bicgstabFactorization) SolveMatFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecFrom)
-}
-
-func (f *bicgstabFactorization) SolveMatLeftFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecLeftFrom)
-}
-
-func (f *bicgstabFactorization) Stats() SolveStats {
 	return SolveStats{Backend: "bicgstab", Iterations: f.iters}
 }
 
@@ -667,9 +428,10 @@ func (f *bicgstabFactorization) Stats() SolveStats {
 // by precond, warm-started from x0 (nil starts from b). The stopping
 // rule is the true residual ‖b − Ax‖∞ ≤ tol·(‖b‖∞ + ‖x‖∞).
 // Near-breakdowns (vanishing ρ or ω) restart the iteration from the
-// current iterate; the iteration and breakdown counts are returned for
-// work accounting and fallback diagnostics.
-func bicgstab(matvec func(x, dst []float64), precond func(r, z []float64), b, x0 []float64, tol float64, maxIter int) ([]float64, int, int, error) {
+// current iterate. The iteration count is returned for work accounting;
+// a failure is a ConvergenceError naming method, with the breakdown
+// count for fallback diagnostics.
+func bicgstab(method string, matvec func(x, dst []float64), precond func(r, z []float64), b, x0 []float64, tol float64, maxIter int) ([]float64, int, error) {
 	n := len(b)
 	var x []float64
 	if x0 != nil {
@@ -703,7 +465,7 @@ func bicgstab(matvec func(x, dst []float64), precond func(r, z []float64), b, x0
 	}
 	rho := restart()
 	if converged(matvec, x, b, t, tol) {
-		return x, 0, 0, nil
+		return x, 0, nil
 	}
 	var maxB float64
 	for i := range b {
@@ -749,7 +511,7 @@ func bicgstab(matvec func(x, dst []float64), precond func(r, z []float64), b, x0
 		}
 		if omega == 0 || math.Abs(omega) < breakdown {
 			if converged(matvec, x, b, t, tol) {
-				return x, iters + 1, breakdowns, nil
+				return x, iters + 1, nil
 			}
 			breakdowns++
 			rho = restart()
@@ -766,7 +528,7 @@ func bicgstab(matvec func(x, dst []float64), precond func(r, z []float64), b, x0
 		// backstop catches recursive-residual drift.
 		if target := tol * (maxB + maxX); rNorm <= target*target || iters%16 == 15 {
 			if converged(matvec, x, b, t, tol) {
-				return x, iters + 1, breakdowns, nil
+				return x, iters + 1, nil
 			}
 		}
 		if math.Abs(rhoNext) < breakdown {
@@ -781,9 +543,9 @@ func bicgstab(matvec func(x, dst []float64), precond func(r, z []float64), b, x0
 		}
 	}
 	if converged(matvec, x, b, t, tol) {
-		return x, iters, breakdowns, nil
+		return x, iters, nil
 	}
-	return nil, iters, breakdowns, &ConvergenceError{Method: "bicgstab", Iterations: iters, Breakdowns: breakdowns, N: n, Tol: tol}
+	return nil, iters, &ConvergenceError{Method: method, Iterations: iters, Breakdowns: breakdowns, N: n, Tol: tol}
 }
 
 // converged checks the true residual ‖b − op(x)‖∞ ≤ tol·(‖b‖∞ + ‖x‖∞),
@@ -850,7 +612,9 @@ func MixingEstimate(m *CSR, steps int) float64 {
 // sparse cost on the common path. With no explicit Sparse backend it
 // probes each block's mixing speed (MixingEstimate) and picks the
 // preconditioner accordingly: Gauss–Seidel-preconditioned BiCGSTAB for
-// fast-mixing blocks, ILU(0)-preconditioned for slow-mixing ones.
+// fast-mixing blocks, ILU(0)-preconditioned for slow-mixing ones. A
+// block above MaxDenseOrder gets no fallback: the solve fails with both
+// the iteration's ConvergenceError and ErrTooLarge.
 type AutoSolver struct {
 	// Sparse is the iterative backend; nil selects the mixing heuristic
 	// between BiCGSTABSolver and ILUSolver per block.
@@ -859,9 +623,6 @@ type AutoSolver struct {
 	// ignored when Sparse is set explicitly.
 	Tol     float64
 	MaxIter int
-	// SlowMixThreshold overrides DefaultSlowMixThreshold; 0 selects the
-	// default.
-	SlowMixThreshold float64
 }
 
 // Name implements Solver.
@@ -869,16 +630,12 @@ func (AutoSolver) Name() string { return "auto" }
 
 // Factor implements Solver.
 func (s AutoSolver) Factor(m *CSR) (Factorization, error) {
-	if m.Rows() != m.Cols() {
-		return nil, fmt.Errorf("matrix: Factor requires a square matrix, got %dx%d", m.Rows(), m.Cols())
+	if err := checkSquare(m); err != nil {
+		return nil, err
 	}
 	sparse := s.Sparse
 	if sparse == nil {
-		threshold := s.SlowMixThreshold
-		if threshold <= 0 {
-			threshold = DefaultSlowMixThreshold
-		}
-		if MixingEstimate(m, MixingProbeSteps) >= threshold {
+		if MixingEstimate(m, MixingProbeSteps) >= DefaultSlowMixThreshold {
 			sparse = ILUSolver{Tol: s.Tol, MaxIter: s.MaxIter}
 		} else {
 			sparse = BiCGSTABSolver{Tol: s.Tol, MaxIter: s.MaxIter}
@@ -894,88 +651,30 @@ func (s AutoSolver) Factor(m *CSR) (Factorization, error) {
 type autoFactorization struct {
 	m      *CSR
 	sparse Factorization
-	dense  Factorization // built on first fallback
-	// fellBack remembers a non-convergence: once one solve on this block
-	// has failed to converge, later solves skip the doomed full-budget
-	// iteration and go straight to the dense factors. reason records why
-	// the block fell back; fallbacks counts the solves the dense path
-	// answered.
-	fellBack  bool
+	// dense is built on the first non-convergence and then answers every
+	// later solve: they skip the doomed full-budget iteration and go
+	// straight to the dense factors. reason records why the block fell
+	// back; fallbacks counts the solves the dense path answered.
+	dense     Factorization
 	reason    FallbackReason
 	fallbacks int64
 }
 
-func (f *autoFactorization) Order() int { return f.sparse.Order() }
-
-func (f *autoFactorization) fallback() (Factorization, error) {
-	f.fellBack = true
+func (f *autoFactorization) Solve(b, x0 []float64, left bool) ([]float64, error) {
 	if f.dense == nil {
-		d, err := DenseSolver{}.Factor(f.m)
-		if err != nil {
-			return nil, err
-		}
-		f.dense = d
-	}
-	return f.dense, nil
-}
-
-func (f *autoFactorization) solve(b, x0 []float64, left bool) ([]float64, error) {
-	if !f.fellBack {
-		var x []float64
-		var err error
-		if left {
-			x, err = f.sparse.SolveVecLeftFrom(b, x0)
-		} else {
-			x, err = f.sparse.SolveVecFrom(b, x0)
-		}
+		x, err := f.sparse.Solve(b, x0, left)
 		if !errors.Is(err, ErrNoConvergence) {
 			return x, err
 		}
 		f.reason = classifyFallback(err)
-	}
-	d, err := f.fallback()
-	if err != nil {
-		return nil, err
+		d, derr := DenseSolver{}.Factor(f.m)
+		if derr != nil {
+			return nil, fmt.Errorf("matrix: auto fallback refused: %w; %w", err, derr)
+		}
+		f.dense = d
 	}
 	f.fallbacks++
-	if left {
-		return d.SolveVecLeft(b)
-	}
-	return d.SolveVec(b)
-}
-
-func (f *autoFactorization) SolveVec(b []float64) ([]float64, error) {
-	return f.solve(b, nil, false)
-}
-
-func (f *autoFactorization) SolveVecLeft(b []float64) ([]float64, error) {
-	return f.solve(b, nil, true)
-}
-
-func (f *autoFactorization) SolveVecFrom(b, x0 []float64) ([]float64, error) {
-	return f.solve(b, x0, false)
-}
-
-func (f *autoFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) {
-	return f.solve(b, x0, true)
-}
-
-// SolveMat batches through the per-vector path so the sparse→dense
-// fallback stays a per-system decision, exactly as in a vector loop.
-func (f *autoFactorization) SolveMat(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVec)
-}
-
-func (f *autoFactorization) SolveMatLeft(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVecLeft)
-}
-
-func (f *autoFactorization) SolveMatFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecFrom)
-}
-
-func (f *autoFactorization) SolveMatLeftFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecLeftFrom)
+	return f.dense.Solve(b, nil, left)
 }
 
 func (f *autoFactorization) Stats() SolveStats {
@@ -992,7 +691,7 @@ func (f *autoFactorization) Stats() SolveStats {
 // values. The zero value selects the exact dense LU backend.
 type SolverConfig struct {
 	// Kind names the backend: "dense" (or ""), "sparse"/"bicgstab",
-	// "gs"/"gauss-seidel", "ilu", or "auto".
+	// "ilu", or "auto".
 	Kind string
 	// Tol is the iterative residual tolerance; 0 selects DefaultTol.
 	// Ignored by the dense backend.
@@ -1004,7 +703,7 @@ type SolverConfig struct {
 
 // SolverKinds lists the accepted SolverConfig.Kind values.
 func SolverKinds() []string {
-	return []string{"dense", "sparse", "bicgstab", "gs", "gauss-seidel", "ilu", "auto"}
+	return []string{"dense", "sparse", "bicgstab", "ilu", "auto"}
 }
 
 // Build resolves the configuration into a Solver.
@@ -1014,8 +713,6 @@ func (c SolverConfig) Build() (Solver, error) {
 		return DenseSolver{}, nil
 	case "sparse", "bicgstab":
 		return BiCGSTABSolver{Tol: c.Tol, MaxIter: c.MaxIter}, nil
-	case "gs", "gauss-seidel":
-		return GaussSeidelSolver{Tol: c.Tol, MaxIter: c.MaxIter}, nil
 	case "ilu":
 		return ILUSolver{Tol: c.Tol, MaxIter: c.MaxIter}, nil
 	case "auto":

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -12,7 +13,6 @@ func solverBackends(t *testing.T) []Solver {
 	t.Helper()
 	return []Solver{
 		DenseSolver{},
-		GaussSeidelSolver{},
 		BiCGSTABSolver{},
 		ILUSolver{},
 		AutoSolver{},
@@ -62,14 +62,11 @@ func TestSolversAgreeOnRandomSystems(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", s.Name(), err)
 			}
-			if f.Order() != n {
-				t.Fatalf("%s: Order = %d, want %d", s.Name(), f.Order(), n)
-			}
-			x, err := f.SolveVec(b)
+			x, err := f.Solve(b, nil, false)
 			if err != nil {
 				t.Fatalf("%s right solve: %v", s.Name(), err)
 			}
-			y, err := f.SolveVecLeft(b)
+			y, err := f.Solve(b, nil, true)
 			if err != nil {
 				t.Fatalf("%s left solve: %v", s.Name(), err)
 			}
@@ -109,12 +106,12 @@ func TestIterativeResidualControl(t *testing.T) {
 	}
 	m := b.Build()
 	ones := Ones(n)
-	want, err := must(DenseSolver{}.Factor(m)).SolveVec(ones)
+	want, err := must(DenseSolver{}.Factor(m)).Solve(ones, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Solver{GaussSeidelSolver{}, BiCGSTABSolver{}} {
-		x, err := must(s.Factor(m)).SolveVec(ones)
+	for _, s := range []Solver{BiCGSTABSolver{}, ILUSolver{}} {
+		x, err := must(s.Factor(m)).Solve(ones, nil, false)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -136,7 +133,7 @@ func must(f Factorization, err error) Factorization {
 }
 
 func TestIterativeNoConvergenceError(t *testing.T) {
-	// One sweep / iteration cannot solve a 40-state slow chain to 1e-12.
+	// One iteration cannot solve a 40-state slow chain to 1e-12.
 	const n = 40
 	b := NewSparseBuilder(n, n)
 	for i := 0; i < n; i++ {
@@ -148,22 +145,54 @@ func TestIterativeNoConvergenceError(t *testing.T) {
 		}
 	}
 	m := b.Build()
-	for _, s := range []Solver{GaussSeidelSolver{MaxIter: 1}, BiCGSTABSolver{MaxIter: 1}} {
-		if _, err := must(s.Factor(m)).SolveVec(Ones(n)); !errors.Is(err, ErrNoConvergence) {
-			t.Errorf("%s with MaxIter=1: err = %v, want ErrNoConvergence", s.Name(), err)
-		}
+	s := BiCGSTABSolver{MaxIter: 1}
+	if _, err := must(s.Factor(m)).Solve(Ones(n), nil, false); !errors.Is(err, ErrNoConvergence) {
+		t.Errorf("%s with MaxIter=1: err = %v, want ErrNoConvergence", s.Name(), err)
 	}
 	// Auto must absorb the failure via the dense fallback.
 	auto := AutoSolver{Sparse: BiCGSTABSolver{MaxIter: 1}}
-	x, err := must(auto.Factor(m)).SolveVec(Ones(n))
+	x, err := must(auto.Factor(m)).Solve(Ones(n), nil, false)
 	if err != nil {
 		t.Fatalf("auto fallback: %v", err)
 	}
-	want, _ := must(DenseSolver{}.Factor(m)).SolveVec(Ones(n))
+	want, _ := must(DenseSolver{}.Factor(m)).Solve(Ones(n), nil, false)
 	for i := range x {
 		if math.Abs(x[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
 			t.Errorf("auto fallback x[%d] = %v, want %v", i, x[i], want[i])
 			break
+		}
+	}
+}
+
+// TestDenseRefusesHugeOrder: the dense backend refuses a block above
+// MaxDenseOrder with ErrTooLarge before densifying it (the 200k-order
+// block would need 320 GB), and the auto backend's fallback then
+// reports both the sparse failure and the refusal instead of densifying.
+// The order check runs before n² is formed, so it also holds where int
+// is 32 bits.
+func TestDenseRefusesHugeOrder(t *testing.T) {
+	for _, n := range []int{MaxDenseOrder + 1, 200_000} {
+		m := pathChain(t, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DenseSolver{}.Factor(m)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTooLarge) {
+			t.Errorf("order %d: dense err = %v, want ErrTooLarge", n, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("order %d: refused dense factor allocated %d bytes, want < 1 MB", n, alloc)
+		}
+		f := must(AutoSolver{Sparse: BiCGSTABSolver{MaxIter: 1}}.Factor(m))
+		runtime.ReadMemStats(&before)
+		_, err = f.Solve(Ones(n), nil, false)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTooLarge) || !errors.Is(err, ErrNoConvergence) {
+			t.Errorf("order %d: auto err = %v, want ErrNoConvergence and ErrTooLarge", n, err)
+		}
+		// One BiCGSTAB iteration needs about ten n-vectors.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(16*8*n) {
+			t.Errorf("order %d: refused auto fallback allocated %d bytes, want < %d", n, alloc, 16*8*n)
 		}
 	}
 }
@@ -177,12 +206,15 @@ func TestFactorRejectsNonSquare(t *testing.T) {
 	}
 }
 
-func TestGaussSeidelRejectsUnitDiagonal(t *testing.T) {
+func TestIterativeRejectsUnitDiagonal(t *testing.T) {
 	b := NewSparseBuilder(2, 2)
 	_ = b.Add(0, 0, 1) // absorbing row makes I−M singular
 	_ = b.Add(1, 0, 0.5)
-	if _, err := (GaussSeidelSolver{}).Factor(b.Build()); !errors.Is(err, ErrSingular) {
-		t.Errorf("err = %v, want ErrSingular", err)
+	m := b.Build()
+	for _, s := range []Solver{BiCGSTABSolver{}, ILUSolver{}} {
+		if _, err := s.Factor(m); !errors.Is(err, ErrSingular) {
+			t.Errorf("%s: err = %v, want ErrSingular", s.Name(), err)
+		}
 	}
 }
 
@@ -195,8 +227,6 @@ func TestSolverConfigBuild(t *testing.T) {
 		{"dense", "dense"},
 		{"sparse", "bicgstab"},
 		{"bicgstab", "bicgstab"},
-		{"gs", "gauss-seidel"},
-		{"gauss-seidel", "gauss-seidel"},
 		{"ilu", "ilu"},
 		{"auto", "auto"},
 	} {
@@ -208,8 +238,10 @@ func TestSolverConfigBuild(t *testing.T) {
 			t.Errorf("Kind %q built %q, want %q", tt.kind, s.Name(), tt.name)
 		}
 	}
-	if _, err := (SolverConfig{Kind: "qr"}).Build(); err == nil {
-		t.Error("unknown kind accepted")
+	for _, kind := range []string{"qr", "gs", "gauss-seidel"} {
+		if _, err := (SolverConfig{Kind: kind}).Build(); err == nil {
+			t.Errorf("unknown kind %q accepted", kind)
+		}
 	}
 }
 
@@ -220,7 +252,7 @@ func TestSolveEmptySystem(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		if x, err := f.SolveVec(nil); err != nil || len(x) != 0 {
+		if x, err := f.Solve(nil, nil, false); err != nil || len(x) != 0 {
 			t.Errorf("%s: empty solve = %v, %v", s.Name(), x, err)
 		}
 	}
@@ -237,11 +269,10 @@ func TestSolversRejectWrongRhsLength(t *testing.T) {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
 		for _, rhs := range [][]float64{make([]float64, 2), make([]float64, 4)} {
-			if _, err := f.SolveVec(rhs); err == nil {
-				t.Errorf("%s: SolveVec accepted rhs of length %d", s.Name(), len(rhs))
-			}
-			if _, err := f.SolveVecLeft(rhs); err == nil {
-				t.Errorf("%s: SolveVecLeft accepted rhs of length %d", s.Name(), len(rhs))
+			for _, left := range []bool{false, true} {
+				if _, err := f.Solve(rhs, nil, left); err == nil {
+					t.Errorf("%s: Solve (left=%v) accepted rhs of length %d", s.Name(), left, len(rhs))
+				}
 			}
 		}
 	}
@@ -267,13 +298,13 @@ func TestAutoFallbackIsSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	cf := f.(*autoFactorization).sparse.(*countingFactorization)
-	if _, err := f.SolveVec(Ones(n)); err != nil {
+	if _, err := f.Solve(Ones(n), nil, false); err != nil {
 		t.Fatal(err)
 	}
 	if cf.calls != 1 {
 		t.Fatalf("first solve made %d sparse attempts, want 1", cf.calls)
 	}
-	if _, err := f.SolveVecLeft(Ones(n)); err != nil {
+	if _, err := f.Solve(Ones(n), nil, true); err != nil {
 		t.Fatal(err)
 	}
 	if cf.calls != 1 {
@@ -299,42 +330,9 @@ type countingFactorization struct {
 	calls int
 }
 
-func (f *countingFactorization) Order() int { return f.inner.Order() }
-
-func (f *countingFactorization) SolveVec(b []float64) ([]float64, error) {
+func (f *countingFactorization) Solve(b, x0 []float64, left bool) ([]float64, error) {
 	f.calls++
-	return f.inner.SolveVec(b)
-}
-
-func (f *countingFactorization) SolveVecLeft(b []float64) ([]float64, error) {
-	f.calls++
-	return f.inner.SolveVecLeft(b)
-}
-
-func (f *countingFactorization) SolveVecFrom(b, x0 []float64) ([]float64, error) {
-	f.calls++
-	return f.inner.SolveVecFrom(b, x0)
-}
-
-func (f *countingFactorization) SolveVecLeftFrom(b, x0 []float64) ([]float64, error) {
-	f.calls++
-	return f.inner.SolveVecLeftFrom(b, x0)
-}
-
-func (f *countingFactorization) SolveMat(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVec)
-}
-
-func (f *countingFactorization) SolveMatLeft(bs [][]float64) ([][]float64, error) {
-	return solveBatch(bs, f.SolveVecLeft)
-}
-
-func (f *countingFactorization) SolveMatFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecFrom)
-}
-
-func (f *countingFactorization) SolveMatLeftFrom(bs, x0s [][]float64) ([][]float64, error) {
-	return solveBatchFrom(bs, x0s, f.SolveVecLeftFrom)
+	return f.inner.Solve(b, x0, left)
 }
 
 func (f *countingFactorization) Stats() SolveStats { return f.inner.Stats() }

@@ -63,26 +63,15 @@ type (
 	// iterative-solver iterations, and sparse-to-dense fallbacks with
 	// their reason. Available as Analysis.Solver.
 	SolveStats = matrix.SolveStats
-	// WarmStart carries the converged solution vectors of one analysis
-	// so a neighboring parameter point can seed its iterative solves
-	// from them (Model.AnalyzeNamedWarm; sweeps use this through
-	// SweepOptions.WarmStart).
-	WarmStart = core.WarmStart
+	// WarmStart carries the converged solution vectors of one chain's
+	// analysis so a neighboring parameter point can seed its iterative
+	// solves from them; grid evaluations chain them along warm-start
+	// lanes when ModelSweepOptions.WarmStart is set.
+	WarmStart = chainmodel.WarmStart
 	// BuildOption tunes the construction of the transition matrix in
 	// NewModel / NewModelWithSolver (see WithBuildPool, WithSharedSpace,
 	// WithRule1Gains).
 	BuildOption = core.BuildOption
-	// SweepPlan is a parameter grid: one axis per model parameter
-	// (C, ∆, k, µ, d, ν), evaluated with shared structure by
-	// EvaluateSweep.
-	SweepPlan = sweep.Plan
-	// SweepOptions tunes a grid evaluation (pool, build pool, solver,
-	// warm-start lanes, streaming callback).
-	SweepOptions = sweep.Options
-	// SweepResult is the deterministic outcome of a grid evaluation.
-	SweepResult = sweep.ResultSet
-	// SweepCell is one cell's outcome inside a SweepResult.
-	SweepCell = sweep.CellResult
 	// SimPlan is a simulation-sweep grid: strategy × µ × d × population
 	// sizes of whole-system overlay runs, each cell aggregating
 	// Monte-Carlo replicas; evaluated by EvaluateSimSweep.
@@ -193,17 +182,6 @@ func NewSpace(c, delta int) (*Space, error) { return core.NewSpace(c, delta) }
 // every Rule 1-eligible state of Ω(C, ∆) under protocol_k.
 func ComputeRule1Gains(p Params) (*Rule1Gains, error) { return core.ComputeRule1Gains(p) }
 
-// EvaluateSweep runs a parameter grid through the amortized evaluator:
-// one shared state space, maintenance kernel and Rule 1 gain table per
-// (C, ∆) group, provably identical cells solved once (the ν axis
-// collapses wherever the Rule 1 firing set does not change), distinct
-// chains fanned across the options' Pool. Every cell's Analysis is
-// bit-identical to an independent per-cell NewModelWithSolver + Analyze
-// of the same parameters. cmd/attackd serves this evaluator over HTTP.
-func EvaluateSweep(ctx context.Context, plan SweepPlan, opts SweepOptions) (*SweepResult, error) {
-	return sweep.Evaluate(ctx, plan, opts)
-}
-
 // EvaluateSimSweep runs a simulation-sweep grid: every cell's
 // Monte-Carlo replicas are whole overlay-system runs (bootstrap, churn,
 // split/merge, adversary) fanned across the options' Pool with
@@ -234,9 +212,13 @@ func AnalyzeModel(inst ModelInstance, dist string, sojourns int) (*ModelAnalysis
 // EvaluateModelSweep runs a model-agnostic grid through the amortized
 // three-pass planner: shared immutable tables per family group,
 // provably identical cells solved once, warm-start lanes along the
-// family's declared slow axis. EvaluateSweep is the paper model's
-// specialized view of this evaluator; cmd/attackd serves both over
-// HTTP (the request's "model" field selects the family).
+// family's declared slow axis. For the paper model (LookupModelFamily("")
+// and its ParsePlan) that means one state space, maintenance kernel and
+// Rule 1 gain table per (C, ∆), and the ν axis collapsing wherever the
+// Rule 1 firing set does not change. Without warm starts, every cell's
+// Analysis is bit-identical to an independent AnalyzeModel of the same
+// cell and solver. cmd/attackd serves this evaluator over HTTP (the
+// request's "model" field selects the family).
 func EvaluateModelSweep(ctx context.Context, plan ModelSweepPlan, opts ModelSweepOptions) (*ModelSweepResult, error) {
 	return sweep.EvaluateModel(ctx, plan, opts)
 }
@@ -258,11 +240,11 @@ func NewAttackServer(cfg AttackServerConfig) (*AttackServer, error) { return att
 
 // ParseIntAxis parses a sweep axis over integers: a comma list ("7,9")
 // or an inclusive lo:hi[:step] range ("10:50:10").
-func ParseIntAxis(s string) ([]int, error) { return sweep.ParseInts(s) }
+func ParseIntAxis(s string) ([]int, error) { return chainmodel.ParseInts(s) }
 
 // ParseFloatAxis parses a sweep axis over floats: a comma list
 // ("0.1,0.2") or an inclusive lo:hi:step range ("0.5:0.9:0.1").
-func ParseFloatAxis(s string) ([]float64, error) { return sweep.ParseFloats(s) }
+func ParseFloatAxis(s string) ([]float64, error) { return chainmodel.ParseFloats(s) }
 
 // SolverKinds lists the accepted SolverConfig.Kind values.
 func SolverKinds() []string { return matrix.SolverKinds() }

@@ -91,8 +91,8 @@
 //     warm-start lanes whose iterative solves seed from their
 //     neighbor's converged vectors. Lanes (not chains) fan across the
 //     pool, so results and iteration counts are bit-identical for any
-//     worker width. For the paper model a SweepPlan over
-//     (C, ∆, k, µ, d, ν) runs on this path (EvaluateSweep): geometry
+//     worker width. For the paper model the (C, ∆, k, µ, d, ν) grid of
+//     its ParsePlan runs on this path (EvaluateModelSweep): geometry
 //     groups share one state space, one memoized maintenance kernel
 //     and one Rule 1 gain table per protocol, and ν dedups by its gain
 //     cut — a 64-cell ν×d grid at C=∆=40 evaluates ≈ 8× faster than
@@ -150,8 +150,8 @@
 // sweep — is registered as a named scenario in internal/experiments.
 // ScenarioKeys lists them; cmd/paperrepro executes any subset
 // concurrently with -workers and -seed flags. The grid scenarios
-// (S1-S5) are expressed as SweepPlans and run through EvaluateSweep, so
-// they inherit the shared-structure amortization and cell
+// (S1-S5) are paper-model grids run through the same evaluator as
+// EvaluateModelSweep, so they inherit the shared-structure amortization and cell
 // deduplication; the apt scenario (S7) runs the second model family
 // through EvaluateModelSweep the same way; every scenario honors
 // Env.Solver, Env.BuildPool and the worker pool uniformly (the
@@ -175,25 +175,27 @@
 //	sum, err := sim.RunManyBatch(ctx, targetedattacks.NewPool(0),
 //		model.InitialDelta(), 100000, 1_000_000)
 //
-//	// Evaluate a whole grid with shared structure (ν×d surface):
-//	rs, err := targetedattacks.EvaluateSweep(ctx, targetedattacks.SweepPlan{
-//		C: []int{40}, Delta: []int{40}, K: []int{1},
-//		Mu: []float64{0.2},
-//		D:  []float64{0.5, 0.6, 0.7, 0.8},
-//		Nu: []float64{0.05, 0.1, 0.2},
-//	}, targetedattacks.SweepOptions{
-//		Pool:   targetedattacks.NewPool(0),
-//		Solver: targetedattacks.SolverConfig{Kind: "bicgstab"},
-//	})
+//	// Evaluate a whole grid with shared structure (ν×d surface of the
+//	// paper model, the default family):
+//	paper, _ := targetedattacks.LookupModelFamily("")
+//	grid, err := paper.ParsePlan([]byte(
+//		`{"c":"40","delta":"40","k":"1","mu":"0.2","d":"0.5:0.8:0.1","nu":"0.05,0.1,0.2"}`))
+//	if err != nil { ... }
+//	rs, err := targetedattacks.EvaluateModelSweep(ctx,
+//		targetedattacks.ModelSweepPlan{Family: paper, Cells: grid},
+//		targetedattacks.ModelSweepOptions{
+//			Pool:   targetedattacks.NewPool(0),
+//			Solver: targetedattacks.SolverConfig{Kind: "bicgstab"},
+//		})
 //
 //	// Any registered family runs through the same engine; e.g. an APT
 //	// compromise campaign with warm-started stealth lanes:
-//	fam, _ := targetedattacks.LookupModelFamily("apt-compromise")
-//	cells, err := fam.ParsePlan([]byte(
+//	apt, _ := targetedattacks.LookupModelFamily("apt-compromise")
+//	cells, err := apt.ParsePlan([]byte(
 //		`{"n":"20","theta":"0.3,0.6","phi":"0.4","detect":"0.5,0.8","rho":"0:0.5:0.25"}`))
 //	if err != nil { ... }
 //	mrs, err := targetedattacks.EvaluateModelSweep(ctx,
-//		targetedattacks.ModelSweepPlan{Family: fam, Cells: cells},
+//		targetedattacks.ModelSweepPlan{Family: apt, Cells: cells},
 //		targetedattacks.ModelSweepOptions{
 //			Pool:      targetedattacks.NewPool(0),
 //			Solver:    targetedattacks.SolverConfig{Kind: "bicgstab"},

@@ -57,7 +57,6 @@ import (
 	"targetedattacks/internal/engine"
 	"targetedattacks/internal/matrix"
 	"targetedattacks/internal/obs"
-	"targetedattacks/internal/sweep"
 )
 
 // Config parameterizes a Server.
@@ -554,7 +553,7 @@ func ParseIntsOrDefault(expr string, def []int) ([]int, error) {
 		}
 		return nil, fmt.Errorf("axis is required")
 	}
-	return sweep.ParseInts(expr)
+	return chainmodel.ParseInts(expr)
 }
 
 // ParseFloatsOrDefault is the float counterpart of ParseIntsOrDefault.
@@ -565,7 +564,7 @@ func ParseFloatsOrDefault(expr string, def []float64) ([]float64, error) {
 		}
 		return nil, fmt.Errorf("axis is required")
 	}
-	return sweep.ParseFloats(expr)
+	return chainmodel.ParseFloats(expr)
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, endpoint string, code int, v any) {

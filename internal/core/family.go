@@ -79,9 +79,8 @@ type planFields struct {
 	Nu    string `json:"nu"`
 }
 
-// ParsePlan implements chainmodel.Family: the cross product of the six
-// axes in canonical order — C outermost, then ∆, k, µ, d, and ν
-// innermost, so lanes of equal (C, ∆, k, µ) are consecutive and walk the
+// ParsePlan implements chainmodel.Family: the Grid of the six parsed
+// axes, so lanes of equal (C, ∆, k, µ) are consecutive and walk the
 // (d, ν) axes in small steps. The ν axis defaults to the paper's 0.1;
 // every other axis is required.
 func (fam Family) ParsePlan(raw json.RawMessage) ([]chainmodel.Cell, error) {
@@ -115,9 +114,22 @@ func (fam Family) ParsePlan(raw json.RawMessage) ([]chainmodel.Cell, error) {
 			return nil, fmt.Errorf("axis nu: %w", err)
 		}
 	}
+	return Grid(cs, deltas, ks, mus, ds, nus)
+}
+
+// Grid is the paper model's parameter grid: the cross product of the
+// six axes in canonical order — C outermost, then ∆, k, µ, d, and ν
+// innermost. Every axis needs at least one value, the axis product is
+// bounded by chainmodel.GridSize before the cell list exists, and every
+// cell is validated.
+func Grid(cs, deltas, ks []int, mus, ds, nus []float64) ([]chainmodel.Cell, error) {
 	size, err := chainmodel.GridSize(len(cs), len(deltas), len(ks), len(mus), len(ds), len(nus))
 	if err != nil {
 		return nil, err
+	}
+	if size == 0 {
+		return nil, fmt.Errorf("core: every axis needs at least one value (|C|=%d |∆|=%d |k|=%d |µ|=%d |d|=%d |ν|=%d)",
+			len(cs), len(deltas), len(ks), len(mus), len(ds), len(nus))
 	}
 	cells := make([]chainmodel.Cell, 0, size)
 	for _, c := range cs {
@@ -206,7 +218,9 @@ type SweepTables struct {
 // did not appear in the group's cells).
 func (t *SweepTables) Gains(k int) *Rule1Gains { return t.gains[k] }
 
-// NewShared implements chainmodel.Family.
+// NewShared implements chainmodel.Family. It validates every cell of
+// the group, so a hand-built plan with an invalid cell fails in the
+// planner, before any chain is solved.
 func (Family) NewShared(cells []chainmodel.Cell) (any, error) {
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("empty group")
@@ -219,6 +233,9 @@ func (Family) NewShared(cells []chainmodel.Cell) (any, error) {
 	t := &SweepTables{Space: sp, gains: make(map[int]*Rule1Gains)}
 	for _, cell := range cells {
 		p := cell.(Params)
+		if err := p.Validate(); err != nil {
+			return nil, fmt.Errorf("cell %v: %w", p, err)
+		}
 		if _, ok := t.gains[p.K]; !ok {
 			g, err := ComputeRule1Gains(p)
 			if err != nil {

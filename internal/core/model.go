@@ -106,34 +106,14 @@ type Analysis struct {
 	Solver matrix.SolveStats
 }
 
-// WarmStart re-exports the chain-level warm start: the converged
-// solution vectors of one analysis, usable as initial guesses for a
-// neighboring cell's iterative solves.
-type WarmStart = markov.WarmStart
-
 // Analyze computes the full Analysis for an initial distribution alpha,
 // with sojourns expectations for the first nSojourns visits.
 func (m *Model) Analyze(alpha []float64, nSojourns int) (*Analysis, error) {
-	a, _, err := m.AnalyzeWarm(alpha, nSojourns, nil)
-	return a, err
-}
-
-// AnalyzeWarm is Analyze with warm starting: iterative solves seed from
-// ws (nil means all cold), and the analysis's own converged vectors are
-// returned for chaining into the next nearby cell. Warm-started results
-// satisfy the same residual tolerances as cold ones — they agree with
-// the cold path to solver tolerance, not bit-for-bit.
-func (m *Model) AnalyzeWarm(alpha []float64, nSojourns int, ws *WarmStart) (*Analysis, *WarmStart, error) {
 	ch, err := m.Chain(alpha)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ch.SeedWarmStart(ws)
-	a, err := analyzeChain(ch, nSojourns)
-	if err != nil {
-		return nil, nil, err
-	}
-	return a, ch.RecordedWarmStart(), nil
+	return analyzeChain(ch, nSojourns)
 }
 
 // analyzeChain runs every closed-form relation on an assembled chain.
@@ -179,15 +159,6 @@ func (m *Model) AnalyzeNamed(d InitialDistribution, nSojourns int) (*Analysis, e
 		return nil, err
 	}
 	return m.Analyze(alpha, nSojourns)
-}
-
-// AnalyzeNamedWarm is AnalyzeWarm for a named initial distribution.
-func (m *Model) AnalyzeNamedWarm(d InitialDistribution, nSojourns int, ws *WarmStart) (*Analysis, *WarmStart, error) {
-	alpha, err := m.Initial(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m.AnalyzeWarm(alpha, nSojourns, ws)
 }
 
 // TransientIndicator returns the 0/1 vector over Ω marking states of the

@@ -49,7 +49,8 @@ func DefaultParams() Params {
 	return Params{C: 7, Delta: 7, Mu: 0, D: 0, K: 1, Nu: 0.1}
 }
 
-// Validate checks parameter ranges.
+// Validate checks parameter ranges. The interval checks are written
+// negated so that NaN, which fails every comparison, is rejected too.
 func (p Params) Validate() error {
 	if p.C < 1 {
 		return fmt.Errorf("core: C must be ≥ 1, got %d", p.C)
@@ -57,16 +58,16 @@ func (p Params) Validate() error {
 	if p.Delta < 2 {
 		return fmt.Errorf("core: Delta must be ≥ 2 so that transient states exist, got %d", p.Delta)
 	}
-	if p.Mu < 0 || p.Mu > 1 {
+	if !(p.Mu >= 0 && p.Mu <= 1) {
 		return fmt.Errorf("core: Mu must be in [0,1], got %v", p.Mu)
 	}
-	if p.D < 0 || p.D >= 1 {
+	if !(p.D >= 0 && p.D < 1) {
 		return fmt.Errorf("core: D must be in [0,1), got %v", p.D)
 	}
 	if p.K < 1 || p.K > p.C {
 		return fmt.Errorf("core: K must be in [1,C]=[1,%d], got %d", p.C, p.K)
 	}
-	if p.Nu <= 0 || p.Nu >= 1 {
+	if !(p.Nu > 0 && p.Nu < 1) {
 		return fmt.Errorf("core: Nu must be in (0,1), got %v", p.Nu)
 	}
 	return nil

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"targetedattacks/internal/matrix"
 )
 
 func TestSpaceSizePaperFigure1(t *testing.T) {
@@ -250,6 +253,17 @@ func TestParamsValidate(t *testing.T) {
 		{"K above C", func(p *Params) { p.K = 8 }},
 		{"Nu zero", func(p *Params) { p.Nu = 0 }},
 		{"Nu one", func(p *Params) { p.Nu = 1 }},
+		// NaN fails every comparison, so the interval checks must be
+		// written to reject it rather than to accept the complement.
+		{"Mu NaN", func(p *Params) { p.Mu = math.NaN() }},
+		{"Mu +Inf", func(p *Params) { p.Mu = math.Inf(1) }},
+		{"Mu -Inf", func(p *Params) { p.Mu = math.Inf(-1) }},
+		{"D NaN", func(p *Params) { p.D = math.NaN() }},
+		{"D +Inf", func(p *Params) { p.D = math.Inf(1) }},
+		{"D -Inf", func(p *Params) { p.D = math.Inf(-1) }},
+		{"Nu NaN", func(p *Params) { p.Nu = math.NaN() }},
+		{"Nu +Inf", func(p *Params) { p.Nu = math.Inf(1) }},
+		{"Nu -Inf", func(p *Params) { p.Nu = math.Inf(-1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -257,6 +271,9 @@ func TestParamsValidate(t *testing.T) {
 			tt.mutate(&p)
 			if err := p.Validate(); err == nil {
 				t.Error("want error, got nil")
+			}
+			if _, err := NewWithSolver(p, matrix.SolverConfig{Kind: "bicgstab"}); err == nil {
+				t.Error("NewWithSolver built a model from invalid parameters")
 			}
 		})
 	}

@@ -10,12 +10,12 @@ import (
 	"targetedattacks/internal/sweep"
 )
 
-// The sweeps in this file go beyond the paper's printed evaluation. They
-// are expressed as sweep.Plan grids and run through the amortized
-// evaluator: one shared state space, maintenance kernel and Rule 1 gain
-// table per (C, ∆) group, provably identical cells solved once (the ν
-// axis collapses wherever the firing set does not change), and the
-// remaining distinct chains fanned across the pool.
+// The sweeps in this file go beyond the paper's printed evaluation. Each
+// is a core.Grid of paper-model cells run through sweep.EvaluateModel
+// with the δ initial distribution: one shared state space, maintenance
+// kernel and Rule 1 gain table per (C, ∆) group, provably identical
+// cells solved once (the ν axis collapses wherever the firing set does
+// not change), and the remaining distinct chains fanned across the pool.
 
 // NuSweepConfig parameterizes the fine-grained ν sweep (S1).
 type NuSweepConfig struct {
@@ -54,11 +54,12 @@ func NuSweep(ctx context.Context, pool *engine.Pool, cfg NuSweepConfig) (*Table,
 		return nil, fmt.Errorf("experiments: NuSweep needs non-empty Nus and Ks")
 	}
 	base := baseParams()
-	plan := sweep.Plan{
-		C: []int{base.C}, Delta: []int{base.Delta}, K: cfg.Ks,
-		Mu: []float64{cfg.Mu}, D: []float64{cfg.D}, Nu: cfg.Nus,
+	cells, err := core.Grid([]int{base.C}, []int{base.Delta}, cfg.Ks, []float64{cfg.Mu}, []float64{cfg.D}, cfg.Nus)
+	if err != nil {
+		return nil, err
 	}
-	rs, err := sweep.Evaluate(ctx, plan, sweep.Options{Pool: pool, BuildPool: cfg.BuildPool, Solver: cfg.Solver})
+	rs, err := sweep.EvaluateModel(ctx, sweep.ModelPlan{Family: core.Family{}, Cells: cells},
+		sweep.ModelOptions{Pool: pool, BuildPool: cfg.BuildPool, Solver: cfg.Solver})
 	if err != nil {
 		return nil, err
 	}
@@ -67,17 +68,18 @@ func NuSweep(ctx context.Context, pool *engine.Pool, cfg NuSweepConfig) (*Table,
 		Columns: []string{"k", "nu", "E(T_S)", "E(T_P)", "P(ever polluted)", "rule1 states"},
 		Note: fmt.Sprintf("extends ablation A1: the paper never fixes ν; the surface shows how the adversary's "+
 			"voluntary-leave trigger shapes pollution (%d cells, %d distinct chains solved)",
-			plan.Size(), rs.Evaluated),
+			len(cells), rs.Evaluated),
 	}
-	// Plan order is k-major, ν-minor — the table's row order.
+	// Grid order is k-major, ν-minor — the table's row order.
 	for _, cell := range rs.Cells {
+		p := cell.Cell.(core.Params)
 		if err := t.AddRow(
-			fmt.Sprintf("%d", cell.Params.K),
-			fmt.Sprintf("%g", cell.Params.Nu),
-			fmtFloat(cell.Analysis.ExpectedSafeTime),
-			fmtFloat(cell.Analysis.ExpectedPollutedTime),
-			fmtFloat(cell.Analysis.PollutionProbability),
-			fmt.Sprintf("%d", cell.Rule1Fires),
+			fmt.Sprintf("%d", p.K),
+			fmt.Sprintf("%g", p.Nu),
+			fmtFloat(cell.Analysis.TimeInA),
+			fmtFloat(cell.Analysis.TimeInB),
+			fmtFloat(cell.Analysis.HitProbability),
+			fmt.Sprintf("%d", cell.SharedTables.(*core.SweepTables).Gains(p.K).CountFires(p.Nu)),
 		); err != nil {
 			return nil, err
 		}
@@ -123,11 +125,12 @@ func Stress(ctx context.Context, pool *engine.Pool, cfg StressConfig) (*Table, e
 	if len(cfg.Ks) == 0 || len(cfg.Mus) == 0 || len(cfg.Ds) == 0 {
 		return nil, fmt.Errorf("experiments: Stress needs non-empty Ks, Mus and Ds")
 	}
-	plan := sweep.Plan{
-		C: []int{cfg.C}, Delta: []int{cfg.Delta}, K: cfg.Ks,
-		Mu: cfg.Mus, D: cfg.Ds, Nu: []float64{0.1},
+	cells, err := core.Grid([]int{cfg.C}, []int{cfg.Delta}, cfg.Ks, cfg.Mus, cfg.Ds, []float64{0.1})
+	if err != nil {
+		return nil, err
 	}
-	rs, err := sweep.Evaluate(ctx, plan, sweep.Options{Pool: pool, BuildPool: cfg.BuildPool, Solver: cfg.Solver})
+	rs, err := sweep.EvaluateModel(ctx, sweep.ModelPlan{Family: core.Family{}, Cells: cells},
+		sweep.ModelOptions{Pool: pool, BuildPool: cfg.BuildPool, Solver: cfg.Solver})
 	if err != nil {
 		return nil, err
 	}
@@ -138,15 +141,16 @@ func Stress(ctx context.Context, pool *engine.Pool, cfg StressConfig) (*Table, e
 		Note: fmt.Sprintf("beyond the paper's evaluation: quorum c=%d; checks that the C=∆=7 "+
 			"qualitative ordering survives a larger cluster", (cfg.C-1)/3),
 	}
-	// Plan order is k-major, then µ, then d — the table's row order.
+	// Grid order is k-major, then µ, then d — the table's row order.
 	for _, cell := range rs.Cells {
+		p := cell.Cell.(core.Params)
 		if err := t.AddRow(
-			fmt.Sprintf("protocol_%d", cell.Params.K),
-			fmtPercent(cell.Params.Mu),
-			fmtPercent(cell.Params.D),
-			fmtFloat(cell.Analysis.ExpectedSafeTime),
-			fmtFloat(cell.Analysis.ExpectedPollutedTime),
-			fmtFloat(cell.Analysis.PollutionProbability),
+			fmt.Sprintf("protocol_%d", p.K),
+			fmtPercent(p.Mu),
+			fmtPercent(p.D),
+			fmtFloat(cell.Analysis.TimeInA),
+			fmtFloat(cell.Analysis.TimeInB),
+			fmtFloat(cell.Analysis.HitProbability),
 			fmtFloat(cell.Analysis.Absorption[core.ClassNamePollutedMerge]),
 		); err != nil {
 			return nil, err
@@ -224,7 +228,7 @@ func DefaultColossalClusterConfig() LargeClusterConfig {
 // the sparse solver path makes affordable: per cell it reports |Ω|, the
 // transient-state count, expected safe/polluted times, the pollution
 // probability and the polluted-merge absorption risk. Each size is one
-// single-geometry sweep.Plan (C = ∆ = size), so protocols at the same
+// single-geometry core.Grid (C = ∆ = size), so protocols at the same
 // size share the enumerated space.
 func LargeCluster(ctx context.Context, pool *engine.Pool, cfg LargeClusterConfig) (*Table, error) {
 	if len(cfg.Sizes) == 0 || len(cfg.Ks) == 0 {
@@ -244,16 +248,18 @@ func LargeCluster(ctx context.Context, pool *engine.Pool, cfg LargeClusterConfig
 		Columns: []string{"C=∆", "protocol", "|Ω|", "transient", "E(T_S)", "E(T_P)", "P(ever polluted)", "p(polluted-merge)", "backend", "iters"},
 		Note:    "state spaces an order of magnitude past the printed figures; infeasible on the dense LU path, routine on CSR + iterative solves",
 	}
-	// One single-geometry plan per size; the independent per-size
+	// One single-geometry grid per size; the independent per-size
 	// evaluations fan across the pool (nested pool use splits width),
 	// with rows appended in size order afterwards.
-	resultSets := make([]*sweep.ResultSet, len(cfg.Sizes))
+	resultSets := make([]*sweep.ModelResultSet, len(cfg.Sizes))
 	if err := engine.Ensure(pool).Run(ctx, len(cfg.Sizes), func(i int) error {
-		plan := sweep.Plan{
-			C: []int{cfg.Sizes[i]}, Delta: []int{cfg.Sizes[i]}, K: cfg.Ks,
-			Mu: []float64{cfg.Mu}, D: []float64{cfg.D}, Nu: []float64{0.1},
+		cells, err := core.Grid([]int{cfg.Sizes[i]}, []int{cfg.Sizes[i]}, cfg.Ks,
+			[]float64{cfg.Mu}, []float64{cfg.D}, []float64{0.1})
+		if err != nil {
+			return err
 		}
-		rs, err := sweep.Evaluate(ctx, plan, sweep.Options{Pool: pool, BuildPool: cfg.BuildPool, Solver: solver})
+		rs, err := sweep.EvaluateModel(ctx, sweep.ModelPlan{Family: core.Family{}, Cells: cells},
+			sweep.ModelOptions{Pool: pool, BuildPool: cfg.BuildPool, Solver: solver})
 		if err != nil {
 			return err
 		}
@@ -266,12 +272,12 @@ func LargeCluster(ctx context.Context, pool *engine.Pool, cfg LargeClusterConfig
 		for _, cell := range rs.Cells {
 			if err := t.AddRow(
 				fmt.Sprintf("%d", cfg.Sizes[i]),
-				fmt.Sprintf("protocol_%d", cell.Params.K),
+				fmt.Sprintf("protocol_%d", cell.Cell.(core.Params).K),
 				fmt.Sprintf("%d", cell.States),
 				fmt.Sprintf("%d", cell.Transient),
-				fmtFloat(cell.Analysis.ExpectedSafeTime),
-				fmtFloat(cell.Analysis.ExpectedPollutedTime),
-				fmtFloat(cell.Analysis.PollutionProbability),
+				fmtFloat(cell.Analysis.TimeInA),
+				fmtFloat(cell.Analysis.TimeInB),
+				fmtFloat(cell.Analysis.HitProbability),
 				fmtFloat(cell.Analysis.Absorption[core.ClassNamePollutedMerge]),
 				cell.Analysis.Solver.Backend,
 				fmt.Sprintf("%d", cell.Analysis.Solver.Iterations),

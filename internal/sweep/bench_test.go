@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"targetedattacks/internal/chainmodel"
 	"targetedattacks/internal/core"
 	"targetedattacks/internal/engine"
 	"targetedattacks/internal/matrix"
@@ -11,8 +12,8 @@ import (
 
 // hugeGrid is the acceptance grid: a ν×d surface of 64 cells at C=∆=40
 // (|Ω| = 35301, 33579 transient per cell).
-func hugeGrid() Plan {
-	return Plan{
+func hugeGrid() paperGrid {
+	return paperGrid{
 		C: []int{40}, Delta: []int{40}, K: []int{1},
 		Mu: []float64{0.2},
 		D:  []float64{0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85},
@@ -21,7 +22,7 @@ func hugeGrid() Plan {
 }
 
 // BenchmarkSweepGrid measures the amortized evaluator against the same
-// 64 cells run as independent core.Analyze calls. The evaluator shares
+// 64 cells run as independent chainmodel.Analyze calls. The evaluator shares
 // one state space, kernel and Rule 1 gain table across the grid and
 // proves the ν axis redundant per (µ, d) (protocol_1 never fires
 // Rule 1), so it solves 8 distinct chains instead of 64; "evaluate"
@@ -29,11 +30,11 @@ func hugeGrid() Plan {
 // 1e-12 on its first iteration.
 func BenchmarkSweepGrid(b *testing.B) {
 	sc := matrix.SolverConfig{Kind: "bicgstab"}
-	plan := hugeGrid()
+	plan := hugeGrid().plan(b)
 	b.Run("evaluate", func(b *testing.B) {
 		var iters int64
 		for i := 0; i < b.N; i++ {
-			rs, err := Evaluate(context.Background(), plan, Options{Solver: sc, Pool: engine.New(0)})
+			rs, err := EvaluateModel(context.Background(), plan, ModelOptions{Solver: sc, Pool: engine.New(0)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -46,8 +47,8 @@ func BenchmarkSweepGrid(b *testing.B) {
 	})
 	b.Run("percell", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for _, p := range plan.Cells() {
-				if _, err := analyzeOne(p, sc, plan.Dist, plan.sojourns()); err != nil {
+			for _, cell := range plan.Cells {
+				if _, err := analyzeOne(cell.(core.Params), sc, plan.sojourns()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -60,8 +61,8 @@ func BenchmarkSweepGrid(b *testing.B) {
 // Rule 1 firing rows and nothing else) and the planner's lanes walk 28
 // distinct chains in (d, ν) order. Adjacent chains differ in a handful
 // of matrix rows, which is exactly the regime warm starting exploits.
-func warmGrid() Plan {
-	return Plan{
+func warmGrid() paperGrid {
+	return paperGrid{
 		C: []int{40}, Delta: []int{40}, K: []int{2},
 		Mu: []float64{0.2},
 		D:  []float64{0.50, 0.70},
@@ -77,7 +78,7 @@ func warmGrid() Plan {
 // benchstat against the committed baseline).
 func BenchmarkWarmStartSweep(b *testing.B) {
 	sc := matrix.SolverConfig{Kind: "bicgstab"}
-	plan := warmGrid()
+	plan := warmGrid().plan(b)
 	for _, mode := range []struct {
 		name string
 		warm bool
@@ -85,7 +86,7 @@ func BenchmarkWarmStartSweep(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var iters int64
 			for i := 0; i < b.N; i++ {
-				rs, err := Evaluate(context.Background(), plan, Options{
+				rs, err := EvaluateModel(context.Background(), plan, ModelOptions{
 					Solver: sc, WarmStart: mode.warm, Pool: engine.New(0),
 				})
 				if err != nil {
@@ -109,19 +110,19 @@ func TestWarmStartHalvesIterationsHuge(t *testing.T) {
 	// blocks' conditioning amplifies 1e-12 residuals to ~1e-9 solution
 	// differences, right at the agreement bar.
 	sc := matrix.SolverConfig{Kind: "bicgstab", Tol: 1e-13}
-	plan := warmGrid()
-	cold, err := Evaluate(context.Background(), plan, Options{Solver: sc, Pool: engine.New(0)})
+	plan := warmGrid().plan(t)
+	cold, err := EvaluateModel(context.Background(), plan, ModelOptions{Solver: sc, Pool: engine.New(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Evaluate(context.Background(), plan, Options{Solver: sc, WarmStart: true, Pool: engine.New(0)})
+	warm, err := EvaluateModel(context.Background(), plan, ModelOptions{Solver: sc, WarmStart: true, Pool: engine.New(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range cold.Cells {
 		if field, ok := analysesEqual(warm.Cells[i].Analysis, cold.Cells[i].Analysis, 1e-9); !ok {
 			t.Errorf("cell %d (%v): %s differs between warm and cold beyond 1e-9",
-				i, cold.Cells[i].Params, field)
+				i, cold.Cells[i].Cell, field)
 		}
 	}
 	if warm.Iterations*2 > cold.Iterations {
@@ -131,26 +132,28 @@ func TestWarmStartHalvesIterationsHuge(t *testing.T) {
 		cold.Iterations, warm.Iterations, float64(cold.Iterations)/float64(warm.Iterations))
 }
 
-func analyzeOne(p core.Params, sc matrix.SolverConfig, dist core.InitialDistribution, sojourns int) (*core.Analysis, error) {
+// analyzeOne is the independent per-cell path: a fresh model build and
+// the generic closed-form analysis under the δ initial distribution.
+func analyzeOne(p core.Params, sc matrix.SolverConfig, sojourns int) (*chainmodel.Analysis, error) {
 	m, err := core.NewWithSolver(p, sc)
 	if err != nil {
 		return nil, err
 	}
-	return m.AnalyzeNamed(dist, sojourns)
+	return chainmodel.Analyze(core.Instance{M: m}, "delta", sojourns)
 }
 
 // verifyAgainstPerCell asserts the acceptance criterion: every sweep
 // cell matches the independent per-cell path at 1e-12.
-func verifyAgainstPerCell(b *testing.B, rs *ResultSet, sc matrix.SolverConfig) {
+func verifyAgainstPerCell(b *testing.B, rs *ModelResultSet, sc matrix.SolverConfig) {
 	b.StopTimer()
 	defer b.StartTimer()
 	for _, cell := range rs.Cells {
-		want, err := analyzeOne(cell.Params, sc, rs.Plan.Dist, rs.Plan.sojourns())
+		want, err := analyzeOne(cell.Cell.(core.Params), sc, rs.Plan.sojourns())
 		if err != nil {
 			b.Fatal(err)
 		}
 		if field, ok := analysesEqual(cell.Analysis, want, 1e-12); !ok {
-			b.Fatalf("cell %v: %s differs from per-cell path beyond 1e-12", cell.Params, field)
+			b.Fatalf("cell %v: %s differs from per-cell path beyond 1e-12", cell.Cell, field)
 		}
 	}
 }

@@ -1,3 +1,31 @@
+// Package sweep evaluates parameter grids of any registered
+// absorbing-chain model with shared structure instead of per-cell
+// rebuilds.
+//
+// A ModelPlan is a family plus its cells in the family's canonical
+// order; for the paper model, core.Family.ParsePlan and core.Grid emit
+// the (C, ∆, k, µ, d, ν) cross product. EvaluateModel groups the cells
+// by the family's group key and builds each group's immutable shared
+// tables once — for the paper model, one state space, memoized
+// maintenance kernel and Rule 1 gain table per protocol k per cluster
+// geometry (C, ∆). Cells with equal family signatures provably build
+// the same Markov chain and are evaluated once: the paper model's ν
+// enters only by thresholding the finite set of relation (2) gains, so
+// cells with equal (k, µ, d) and an equal gain cut share one solve (for
+// protocol_1 the whole ν axis collapses — Rule 1 never fires). Distinct
+// chains, ordered into warm-start lanes along the family's slow axis,
+// fan out across an engine.Pool; results land in a deterministic,
+// order-independent result set. Every cell's Analysis is bit-identical
+// to an independent chainmodel.Analyze of the same cell with the same
+// solver (warm starts aside, which agree to solver tolerance).
+//
+// A SimPlan is the simulation-side counterpart: a strategy × µ × d ×
+// population-size grid of whole-system overlay runs
+// (internal/overlaynet), each cell aggregating Monte-Carlo replicas with
+// per-replica PCG streams derived from the plan seed and the replica's
+// global task index. EvaluateSim fans replicas across the same
+// engine.Pool and reduces each cell in fixed replica order, so summaries
+// are bit-identical for any worker count, streaming delivery included.
 package sweep
 
 import (
@@ -35,8 +63,8 @@ func (pl ModelPlan) sojourns() int {
 	return pl.Sojourns
 }
 
-// ModelOptions tunes a model-agnostic grid evaluation; the fields mirror
-// Options.
+// ModelOptions tunes a model-agnostic grid evaluation. The zero value
+// evaluates serially with the dense LU backend.
 type ModelOptions struct {
 	// Pool fans distinct lanes across workers; nil evaluates serially.
 	// Results are bit-identical for any pool width.
@@ -49,10 +77,14 @@ type ModelOptions struct {
 	// WarmStart chains the iterative solves of neighboring cells along
 	// the family's lanes (consecutive equivalence classes with equal
 	// LaneKey); lanes, not cells, fan across the pool, so results stay
-	// independent of the worker count.
+	// independent of the worker count. Warm-started solves meet the same
+	// residual tolerance as cold ones, so cells agree with the cold path
+	// to solver tolerance instead of bit for bit (the dense backend
+	// ignores warm starts and stays exact).
 	WarmStart bool
-	// OnCell, when non-nil, streams results as they are produced; it
-	// must be safe for concurrent use.
+	// OnCell, when non-nil, streams results as they are produced: it is
+	// called once per cell, from evaluator goroutines in completion
+	// order (not index order), so it must be safe for concurrent use.
 	OnCell func(ModelCellResult)
 }
 

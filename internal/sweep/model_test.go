@@ -22,23 +22,6 @@ func aptPlan(t *testing.T) ModelPlan {
 	return ModelPlan{Family: aptchain.Family{}, Cells: cells, Sojourns: 2}
 }
 
-func modelAnalysesEqual(a, b *chainmodel.Analysis) bool {
-	if a.TimeInA != b.TimeInA || a.TimeInB != b.TimeInB || a.HitProbability != b.HitProbability {
-		return false
-	}
-	for i := range a.SojournsA {
-		if a.SojournsA[i] != b.SojournsA[i] || a.SojournsB[i] != b.SojournsB[i] {
-			return false
-		}
-	}
-	for k, v := range a.Absorption {
-		if b.Absorption[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // TestEvaluateModelAPTBitIdenticalAcrossPools: the second family's
 // sweeps must be bit-identical at worker widths 1 and 8, warm starting
 // included — lanes, not cells, fan across the pool.
@@ -62,8 +45,8 @@ func TestEvaluateModelAPTBitIdenticalAcrossPools(t *testing.T) {
 		t.Errorf("total iterations differ across pool widths: %d vs %d", serial.Iterations, wide.Iterations)
 	}
 	for i := range serial.Cells {
-		if !modelAnalysesEqual(serial.Cells[i].Analysis, wide.Cells[i].Analysis) {
-			t.Fatalf("cell %d differs between pool widths", i)
+		if field, ok := analysesEqual(serial.Cells[i].Analysis, wide.Cells[i].Analysis, 0); !ok {
+			t.Fatalf("cell %d: %s differs between pool widths", i, field)
 		}
 		if serial.Cells[i].Iterations != wide.Cells[i].Iterations {
 			t.Errorf("cell %d iterations differ: %d vs %d", i, serial.Cells[i].Iterations, wide.Cells[i].Iterations)
@@ -123,8 +106,8 @@ func TestEvaluateModelDedupsDuplicates(t *testing.T) {
 		t.Fatalf("shared flags = %v %v %v, want false false true",
 			rs.Cells[0].Shared, rs.Cells[1].Shared, rs.Cells[2].Shared)
 	}
-	if !modelAnalysesEqual(rs.Cells[0].Analysis, rs.Cells[2].Analysis) {
-		t.Error("shared cell's analysis differs from its leader")
+	if field, ok := analysesEqual(rs.Cells[0].Analysis, rs.Cells[2].Analysis, 0); !ok {
+		t.Errorf("shared cell's analysis differs from its leader in %s", field)
 	}
 	// The clone is independent storage.
 	if &rs.Cells[0].Analysis.SojournsA[0] == &rs.Cells[2].Analysis.SojournsA[0] {

@@ -1,168 +1,49 @@
 package sweep
 
 import (
-	"math"
+	"context"
 	"reflect"
 	"testing"
 
+	"targetedattacks/internal/chainmodel"
 	"targetedattacks/internal/core"
 )
 
-func TestParseInts(t *testing.T) {
-	tests := []struct {
-		in   string
-		want []int
-	}{
-		{"7", []int{7}},
-		{"7,9,12", []int{7, 9, 12}},
-		{" 7 , 9 ", []int{7, 9}},
-		{"4:8", []int{4, 5, 6, 7, 8}},
-		{"10:50:10", []int{10, 20, 30, 40, 50}},
-		{"3:3", []int{3}},
-	}
-	for _, tt := range tests {
-		got, err := ParseInts(tt.in)
-		if err != nil {
-			t.Errorf("ParseInts(%q): %v", tt.in, err)
-			continue
-		}
-		if !reflect.DeepEqual(got, tt.want) {
-			t.Errorf("ParseInts(%q) = %v, want %v", tt.in, got, tt.want)
-		}
-	}
-	for _, bad := range []string{"", "x", "1,x", "5:1", "1:5:0", "1:2:3:4", "1,2:3"} {
-		if _, err := ParseInts(bad); err == nil {
-			t.Errorf("ParseInts(%q): want error", bad)
-		}
-	}
-}
-
-// TestParseIntsBoundsHostileRanges: axis expressions arrive straight
-// from HTTP requests, so oversized and overflow-adjacent ranges must be
-// rejected before any allocation — and must terminate.
-func TestParseIntsBoundsHostileRanges(t *testing.T) {
-	for _, bad := range []string{
-		"1:4000000000",                               // ~4e9 values
-		"0:9223372036854775807",                      // MaxInt64 endpoint (v += step would wrap)
-		"-9223372036854775808:9223372036854775807:2", // full int range
-	} {
-		if _, err := ParseInts(bad); err == nil {
-			t.Errorf("ParseInts(%q): want size-limit error", bad)
-		}
-	}
-	// Extreme endpoints are fine when the expansion stays small.
-	got, err := ParseInts("9223372036854775805:9223372036854775807")
-	if err != nil || len(got) != 3 || got[2] != 9223372036854775807 {
-		t.Errorf("near-MaxInt range = %v, %v", got, err)
-	}
-}
-
-func TestParseFloatsBoundsHostileRanges(t *testing.T) {
-	for _, bad := range []string{
-		"0:1:1e-300", // denormal step: ~1e300 values
-		"0:1e300:1",
-		"0:inf:1",
-		"0:1:nan",
-	} {
-		if _, err := ParseFloats(bad); err == nil {
-			t.Errorf("ParseFloats(%q): want error", bad)
-		}
-	}
-}
-
-// TestPlanSizeSaturates: six large axes must not wrap the cell count
-// into something small enough to slip past a caller's limit check.
-func TestPlanSizeSaturates(t *testing.T) {
-	big := make([]int, 100_000)
-	bigF := make([]float64, 100_000)
-	pl := Plan{C: big, Delta: big, K: big, Mu: bigF, D: bigF, Nu: bigF}
-	if pl.Size() != math.MaxInt {
-		t.Errorf("Size = %d, want saturation at MaxInt", pl.Size())
-	}
-	if err := pl.Validate(); err == nil {
-		t.Error("overflowing plan must fail validation")
-	}
-}
-
-func TestParseFloats(t *testing.T) {
-	got, err := ParseFloats("0.1,0.2,0.5")
-	if err != nil || !reflect.DeepEqual(got, []float64{0.1, 0.2, 0.5}) {
-		t.Errorf("list parse = %v, %v", got, err)
-	}
-	got, err = ParseFloats("0.5:0.9:0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.5, 0.6, 0.7, 0.8, 0.9}
-	if len(got) != len(want) {
-		t.Fatalf("range parse = %v, want %v", got, want)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("range point %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	for _, bad := range []string{"", "x", "0.1,y", "0.9:0.1:0.1", "0.1:0.9:0", "0.1:0.9", "0.1:0.2:0.05:1", "nan", "0.1,inf"} {
-		if _, err := ParseFloats(bad); err == nil {
-			t.Errorf("ParseFloats(%q): want error", bad)
-		}
-	}
-	// The endpoint slack absorbs accumulation error only — it must
-	// never emit a point beyond hi.
-	for in, wantLen := range map[string]int{"0.8:1:0.3": 1, "0:1:2": 1, "0:1:0.5": 3} {
-		got, err := ParseFloats(in)
-		if err != nil || len(got) != wantLen {
-			t.Errorf("ParseFloats(%q) = %v, %v; want %d points", in, got, err, wantLen)
-		}
-		for _, v := range got {
-			if v > 1 {
-				t.Errorf("ParseFloats(%q) emitted %v past the endpoint", in, v)
-			}
-		}
-	}
-}
-
+// TestPlanCellsOrderAndSize: core.Grid, the paper model's plan
+// enumerator, emits C outermost and ν innermost.
 func TestPlanCellsOrderAndSize(t *testing.T) {
-	pl := Plan{
-		C: []int{7}, Delta: []int{7}, K: []int{1, 2},
-		Mu: []float64{0.1}, D: []float64{0.5, 0.9}, Nu: []float64{0.1},
+	cells, err := core.Grid([]int{7}, []int{7}, []int{1, 2}, []float64{0.1}, []float64{0.5, 0.9}, []float64{0.1})
+	if err != nil {
+		t.Fatalf("Grid: %v", err)
 	}
-	if pl.Size() != 4 {
-		t.Fatalf("Size = %d, want 4", pl.Size())
+	if len(cells) != 4 {
+		t.Fatalf("size = %d, want 4", len(cells))
 	}
-	cells := pl.Cells()
-	want := []core.Params{
-		{C: 7, Delta: 7, K: 1, Mu: 0.1, D: 0.5, Nu: 0.1},
-		{C: 7, Delta: 7, K: 1, Mu: 0.1, D: 0.9, Nu: 0.1},
-		{C: 7, Delta: 7, K: 2, Mu: 0.1, D: 0.5, Nu: 0.1},
-		{C: 7, Delta: 7, K: 2, Mu: 0.1, D: 0.9, Nu: 0.1},
+	want := []chainmodel.Cell{
+		core.Params{C: 7, Delta: 7, K: 1, Mu: 0.1, D: 0.5, Nu: 0.1},
+		core.Params{C: 7, Delta: 7, K: 1, Mu: 0.1, D: 0.9, Nu: 0.1},
+		core.Params{C: 7, Delta: 7, K: 2, Mu: 0.1, D: 0.5, Nu: 0.1},
+		core.Params{C: 7, Delta: 7, K: 2, Mu: 0.1, D: 0.9, Nu: 0.1},
 	}
 	if !reflect.DeepEqual(cells, want) {
-		t.Errorf("Cells() = %v, want %v", cells, want)
-	}
-	if err := pl.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
+		t.Errorf("Grid = %v, want %v", cells, want)
 	}
 }
 
 func TestPlanValidateRejects(t *testing.T) {
-	empty := Plan{C: []int{7}, Delta: []int{7}, K: []int{1}, Mu: []float64{0.1}, D: []float64{0.5}}
-	if err := empty.Validate(); err == nil {
+	if _, err := core.Grid([]int{7}, []int{7}, []int{1}, []float64{0.1}, []float64{0.5}, nil); err == nil {
 		t.Error("empty ν axis must be rejected")
 	}
-	bad := Plan{
-		C: []int{7}, Delta: []int{7}, K: []int{9}, // k > C
-		Mu: []float64{0.1}, D: []float64{0.5}, Nu: []float64{0.1},
-	}
-	if err := bad.Validate(); err == nil {
+	// k > C
+	if _, err := core.Grid([]int{7}, []int{7}, []int{9}, []float64{0.1}, []float64{0.5}, []float64{0.1}); err == nil {
 		t.Error("invalid cell parameters must be rejected")
 	}
-	badDist := Plan{
-		C: []int{7}, Delta: []int{7}, K: []int{1},
-		Mu: []float64{0.1}, D: []float64{0.5}, Nu: []float64{0.1},
-		Dist: core.InitialDistribution(42),
+	cells, err := core.Grid([]int{7}, []int{7}, []int{1}, []float64{0.1}, []float64{0.5}, []float64{0.1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := badDist.Validate(); err == nil {
+	badDist := ModelPlan{Family: core.Family{}, Cells: cells, Dist: "gamma"}
+	if _, err := EvaluateModel(context.Background(), badDist, ModelOptions{}); err == nil {
 		t.Error("unknown distribution must be rejected")
 	}
 }

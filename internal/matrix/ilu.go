@@ -67,7 +67,7 @@ const iluPivotFloor = 1e-300
 type iluFactors struct {
 	n      int
 	rowPtr []int
-	colIdx []int
+	colIdx []int32
 	vals   []float64
 	diag   []int // index into vals/colIdx of each row's diagonal entry
 }
@@ -81,7 +81,7 @@ func factorILU0(m *CSR) (*iluFactors, error) {
 	lu := &iluFactors{
 		n:      n,
 		rowPtr: make([]int, n+1),
-		colIdx: make([]int, 0, m.NNZ()+n),
+		colIdx: make([]int32, 0, m.NNZ()+n),
 		vals:   make([]float64, 0, m.NNZ()+n),
 		diag:   make([]int, n),
 	}
@@ -94,19 +94,19 @@ func factorILU0(m *CSR) (*iluFactors, error) {
 				placed = true
 				lu.diag[i] = len(lu.vals)
 				if j == i {
-					lu.colIdx = append(lu.colIdx, i)
+					lu.colIdx = append(lu.colIdx, int32(i))
 					lu.vals = append(lu.vals, 1-v)
 					return
 				}
-				lu.colIdx = append(lu.colIdx, i)
+				lu.colIdx = append(lu.colIdx, int32(i))
 				lu.vals = append(lu.vals, 1)
 			}
-			lu.colIdx = append(lu.colIdx, j)
+			lu.colIdx = append(lu.colIdx, int32(j))
 			lu.vals = append(lu.vals, -v)
 		})
 		if !placed {
 			lu.diag[i] = len(lu.vals)
-			lu.colIdx = append(lu.colIdx, i)
+			lu.colIdx = append(lu.colIdx, int32(i))
 			lu.vals = append(lu.vals, 1)
 		}
 		lu.rowPtr[i+1] = len(lu.vals)
@@ -120,7 +120,7 @@ func factorILU0(m *CSR) (*iluFactors, error) {
 			pos[lu.colIdx[k]] = k + 1
 		}
 		for k := start; k < end; k++ {
-			kcol := lu.colIdx[k]
+			kcol := int(lu.colIdx[k])
 			if kcol >= i {
 				break // rows are column-sorted: L entries come first
 			}
@@ -146,19 +146,22 @@ func factorILU0(m *CSR) (*iluFactors, error) {
 // lower factor, then backward substitution through the upper factor.
 func (lu *iluFactors) apply(r, z []float64) {
 	rowPtr, colIdx, vals, diag := lu.rowPtr, lu.colIdx, lu.vals, lu.diag
-	for i := 0; i < lu.n; i++ {
+	for i, d := range diag {
+		cols, ls := entries(colIdx, vals, rowPtr[i], d)
 		s := r[i]
-		for k := rowPtr[i]; k < diag[i]; k++ {
-			s -= vals[k] * z[colIdx[k]]
+		for k, a := range ls {
+			s -= a * z[cols[k]]
 		}
 		z[i] = s
 	}
 	for i := lu.n - 1; i >= 0; i-- {
+		d := diag[i]
+		cols, us := entries(colIdx, vals, d+1, rowPtr[i+1])
 		s := z[i]
-		for k := diag[i] + 1; k < rowPtr[i+1]; k++ {
-			s -= vals[k] * z[colIdx[k]]
+		for k, a := range us {
+			s -= a * z[cols[k]]
 		}
-		z[i] = s / vals[diag[i]]
+		z[i] = s / vals[d]
 	}
 }
 
@@ -170,17 +173,19 @@ func (lu *iluFactors) apply(r, z []float64) {
 func (lu *iluFactors) applyTransposed(r, z []float64) {
 	rowPtr, colIdx, vals, diag := lu.rowPtr, lu.colIdx, lu.vals, lu.diag
 	copy(z, r)
-	for i := 0; i < lu.n; i++ {
-		z[i] /= vals[diag[i]]
+	for i, d := range diag {
+		z[i] /= vals[d]
 		wi := z[i]
-		for k := diag[i] + 1; k < rowPtr[i+1]; k++ {
-			z[colIdx[k]] -= vals[k] * wi
+		cols, us := entries(colIdx, vals, d+1, rowPtr[i+1])
+		for k, a := range us {
+			z[cols[k]] -= a * wi
 		}
 	}
 	for i := lu.n - 1; i >= 0; i-- {
 		zi := z[i]
-		for k := rowPtr[i]; k < diag[i]; k++ {
-			z[colIdx[k]] -= vals[k] * zi
+		cols, ls := entries(colIdx, vals, rowPtr[i], diag[i])
+		for k, a := range ls {
+			z[cols[k]] -= a * zi
 		}
 	}
 }

@@ -18,10 +18,10 @@ import "fmt"
 type RowBuilder struct {
 	cols   int
 	rowPtr []int // rowPtr[r+1] = entries after sealing r rows; rowPtr[0] = 0
-	colIdx []int
+	colIdx []int32
 	vals   []float64
 	// Scratch for the in-progress row, in emission order.
-	curCols []int
+	curCols []int32
 	curVals []float64
 }
 
@@ -36,10 +36,13 @@ func (b *RowBuilder) Add(j int, v float64) error {
 	if j < 0 || j >= b.cols {
 		return fmt.Errorf("matrix: row entry column %d out of bounds for width %d", j, b.cols)
 	}
+	if err := checkColumn("row entry column", j); err != nil {
+		return err
+	}
 	if v == 0 {
 		return nil
 	}
-	b.curCols = append(b.curCols, j)
+	b.curCols = append(b.curCols, int32(j))
 	b.curVals = append(b.curVals, v)
 	return nil
 }
@@ -72,7 +75,7 @@ func (b *RowBuilder) Cols() int { return b.cols }
 // sortRowStable stably co-sorts one row's column indices and values by
 // column (insertion sort: rows are short, and moving only strictly-greater
 // elements keeps equal columns in emission order).
-func sortRowStable(cols []int, vals []float64) {
+func sortRowStable(cols []int32, vals []float64) {
 	for i := 1; i < len(cols); i++ {
 		c, v := cols[i], vals[i]
 		j := i - 1
@@ -105,7 +108,7 @@ func ConcatRows(cols int, parts ...*RowBuilder) (*CSR, error) {
 		rows:   rows,
 		cols:   cols,
 		rowPtr: make([]int, 1, rows+1),
-		colIdx: make([]int, 0, nnz),
+		colIdx: make([]int32, 0, nnz),
 		vals:   make([]float64, 0, nnz),
 	}
 	for _, p := range parts {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 )
 
 // This file is the pluggable linear-solver layer of the analytic pipeline.
@@ -315,30 +316,56 @@ func (s BiCGSTABSolver) Factor(m *CSR) (Factorization, error) {
 // cost each.
 const bicgstabPrecondSweeps = 2
 
+// gsSplit locates, in every row i of an iteration matrix, the strictly
+// lower entries [rowPtr[i], lowEnd[i]) and the strictly upper entries
+// [upStart[i], rowPtr[i+1]); a stored diagonal lies between them. Rows
+// are column-sorted, so the sweeps below range over these runs instead
+// of testing every entry's column against i.
+type gsSplit struct {
+	lowEnd, upStart []int
+}
+
+func newGSSplit(m *CSR) *gsSplit {
+	sp := &gsSplit{lowEnd: make([]int, m.rows), upStart: make([]int, m.rows)}
+	for i := range sp.lowEnd {
+		k, end := m.rowPtr[i], m.rowPtr[i+1]
+		for k < end && int(m.colIdx[k]) < i {
+			k++
+		}
+		sp.lowEnd[i] = k
+		if k < end && int(m.colIdx[k]) == i {
+			k++
+		}
+		sp.upStart[i] = k
+	}
+	return sp
+}
+
 // gsSweepsInto writes into z the result of bicgstabPrecondSweeps forward
 // Gauss–Seidel sweeps for (I−M)z = r starting from z = 0: the
-// preconditioner application z = P⁻¹r. The first sweep skips the
-// all-zero z reads.
-func gsSweepsInto(m *CSR, invDiag, r, z []float64) {
+// preconditioner application z = P⁻¹r. The first sweep reads only the
+// strictly lower entries, since z is still zero above the diagonal; each
+// row sums its entries in ascending column order.
+func gsSweepsInto(m *CSR, sp *gsSplit, invDiag, r, z []float64) {
 	rowPtr, colIdx, vals := m.rowPtr, m.colIdx, m.vals
-	for i := 0; i < m.rows; i++ {
+	for i, lowEnd := range sp.lowEnd {
+		cols, lower := entries(colIdx, vals, rowPtr[i], lowEnd)
 		s := r[i]
-		end := rowPtr[i+1]
-		for k := rowPtr[i]; k < end; k++ {
-			if j := colIdx[k]; j < i {
-				s += vals[k] * z[j]
-			}
+		for k, a := range lower {
+			s += a * z[cols[k]]
 		}
 		z[i] = s * invDiag[i]
 	}
 	for sweep := 1; sweep < bicgstabPrecondSweeps; sweep++ {
-		for i := 0; i < m.rows; i++ {
+		for i, lowEnd := range sp.lowEnd {
 			s := r[i]
-			end := rowPtr[i+1]
-			for k := rowPtr[i]; k < end; k++ {
-				if j := colIdx[k]; j != i {
-					s += vals[k] * z[j]
-				}
+			cols, lower := entries(colIdx, vals, rowPtr[i], lowEnd)
+			for k, a := range lower {
+				s += a * z[cols[k]]
+			}
+			cols, upper := entries(colIdx, vals, sp.upStart[i], rowPtr[i+1])
+			for k, a := range upper {
+				s += a * z[cols[k]]
 			}
 			z[i] = s * invDiag[i]
 		}
@@ -348,12 +375,13 @@ func gsSweepsInto(m *CSR, invDiag, r, z []float64) {
 // krylovFactorization is the factorization of both iterative backends:
 // preconditioned BiCGSTAB on I − M for right systems and on I − Mᵀ for
 // left ones. The backends differ only in the preconditioner they put
-// here: Gauss–Seidel sweeps on M or Mᵀ (invDiag), or the ILU(0) factors
-// applied directly or transposed (lu).
+// here: Gauss–Seidel sweeps on M or Mᵀ (invDiag, split), or the ILU(0)
+// factors applied directly or transposed (lu).
 type krylovFactorization struct {
 	m       *CSR
 	mT      *CSR        // lazily built transpose, for left systems
 	invDiag []float64   // 1/(1−M_ii), shared by M and Mᵀ; nil with lu
+	split   [2]*gsSplit // GS row splits of M and Mᵀ, built on first use
 	lu      *iluFactors // ILU(0) factors of I − M; nil for GS sweeps
 	tol     float64
 	maxIter int
@@ -371,26 +399,13 @@ func newKrylov(m *CSR, invDiag []float64, lu *iluFactors, tol float64, maxIter i
 	return &krylovFactorization{m: m, invDiag: invDiag, lu: lu, tol: tol, maxIter: maxIter}
 }
 
-// precond writes z = P⁻¹r for the iteration matrix a (M, or Mᵀ when
-// left is set).
-func (f *krylovFactorization) precond(a *CSR, left bool, r, z []float64) {
-	switch {
-	case f.lu == nil:
-		gsSweepsInto(a, f.invDiag, r, z)
-	case left:
-		f.lu.applyTransposed(r, z)
-	default:
-		f.lu.apply(r, z)
-	}
-}
-
 func (f *krylovFactorization) Solve(b, x0 []float64, left bool) ([]float64, error) {
-	a := f.m
+	a, side := f.m, 0
 	if left {
 		if f.mT == nil {
 			f.mT = f.m.Transpose()
 		}
-		a = f.mT
+		a, side = f.mT, 1
 	}
 	n := a.Rows()
 	if len(b) != n {
@@ -399,19 +414,22 @@ func (f *krylovFactorization) Solve(b, x0 []float64, left bool) ([]float64, erro
 	if err := checkGuess(x0, n); err != nil {
 		return nil, err
 	}
-	tmp := make([]float64, n)
-	matvec := func(x, dst []float64) {
-		_ = a.MulVecInto(x, tmp)
-		for i := range dst {
-			dst[i] = x[i] - tmp[i]
+	method := "ilu-bicgstab"
+	var precond func(r, z []float64)
+	switch {
+	case f.lu == nil:
+		method = "bicgstab"
+		if f.split[side] == nil {
+			f.split[side] = newGSSplit(a)
 		}
+		sp := f.split[side]
+		precond = func(r, z []float64) { gsSweepsInto(a, sp, f.invDiag, r, z) }
+	case left:
+		precond = f.lu.applyTransposed
+	default:
+		precond = f.lu.apply
 	}
-	method := "bicgstab"
-	if f.lu != nil {
-		method = "ilu-bicgstab"
-	}
-	precond := func(r, z []float64) { f.precond(a, left, r, z) }
-	x, iters, err := bicgstab(method, matvec, precond, b, x0, f.tol, f.maxIter)
+	x, iters, err := bicgstab(method, a.residualInto, precond, b, x0, f.tol, f.maxIter)
 	f.iters += int64(iters)
 	return x, err
 }
@@ -423,15 +441,28 @@ func (f *krylovFactorization) Stats() SolveStats {
 	return SolveStats{Backend: "bicgstab", Iterations: f.iters}
 }
 
+// operator applies the iteration's system matrix, dst = x − A·x, and
+// returns the dot products Σ dst_i² and Σ dst_i·w_i of its output (see
+// CSR.residualInto).
+type operator func(x, dst, w []float64) (dd, dw float64)
+
+// bicgstabVectors is the number of work vectors one BiCGSTAB solve uses.
+const bicgstabVectors = 8
+
+// workPool recycles BiCGSTAB work buffers (*[]float64 of
+// bicgstabVectors·n floats) across solves, so a solve allocates only
+// its solution vector and an idle factorization pins no scratch.
+var workPool sync.Pool
+
 // bicgstab runs the preconditioned BiCGSTAB iteration of van der Vorst
-// for matvec(x) = b with preconditioner applications z ≈ A⁻¹r supplied
-// by precond, warm-started from x0 (nil starts from b). The stopping
-// rule is the true residual ‖b − Ax‖∞ ≤ tol·(‖b‖∞ + ‖x‖∞).
-// Near-breakdowns (vanishing ρ or ω) restart the iteration from the
-// current iterate. The iteration count is returned for work accounting;
-// a failure is a ConvergenceError naming method, with the breakdown
-// count for fallback diagnostics.
-func bicgstab(method string, matvec func(x, dst []float64), precond func(r, z []float64), b, x0 []float64, tol float64, maxIter int) ([]float64, int, error) {
+// for op(x) = b with preconditioner applications z ≈ A⁻¹r supplied by
+// precond, warm-started from x0 (nil starts from b). The stopping rule
+// is the true residual ‖b − Ax‖∞ ≤ tol·(‖b‖∞ + ‖x‖∞). Near-breakdowns
+// (vanishing ρ or ω) restart the iteration from the current iterate.
+// The iteration count is returned for work accounting; a failure is a
+// ConvergenceError naming method, with the breakdown count for fallback
+// diagnostics.
+func bicgstab(method string, op operator, precond func(r, z []float64), b, x0 []float64, tol float64, maxIter int) ([]float64, int, error) {
 	n := len(b)
 	var x []float64
 	if x0 != nil {
@@ -439,18 +470,18 @@ func bicgstab(method string, matvec func(x, dst []float64), precond func(r, z []
 	} else {
 		x = append([]float64(nil), b...)
 	}
-	r := make([]float64, n)
-	rhat := make([]float64, n)
-	v := make([]float64, n)
-	p := make([]float64, n)
-	phat := make([]float64, n)
-	s := make([]float64, n)
-	shat := make([]float64, n)
-	t := make([]float64, n)
+	work, _ := workPool.Get().(*[]float64)
+	if work == nil || cap(*work) < bicgstabVectors*n {
+		buf := make([]float64, bicgstabVectors*n)
+		work = &buf
+	}
+	defer workPool.Put(work)
+	vec := func(i int) []float64 { return (*work)[i*n : (i+1)*n : (i+1)*n] }
+	r, rhat, v, p, phat, s, shat, t := vec(0), vec(1), vec(2), vec(3), vec(4), vec(5), vec(6), vec(7)
 
 	breakdowns := 0
 	restart := func() float64 {
-		matvec(x, r)
+		op(x, r, r)
 		var norm float64
 		for i := range r {
 			r[i] = b[i] - r[i]
@@ -458,13 +489,11 @@ func bicgstab(method string, matvec func(x, dst []float64), precond func(r, z []
 		}
 		copy(rhat, r)
 		copy(p, r)
-		for i := range v {
-			v[i] = 0
-		}
+		clear(v)
 		return norm
 	}
 	rho := restart()
-	if converged(matvec, x, b, t, tol) {
+	if converged(op, x, b, t, tol) {
 		return x, 0, nil
 	}
 	var maxB float64
@@ -477,11 +506,7 @@ func bicgstab(method string, matvec func(x, dst []float64), precond func(r, z []
 	iters := 0
 	for ; iters < maxIter; iters++ {
 		precond(p, phat)
-		matvec(phat, v)
-		var rhatV float64
-		for i := range v {
-			rhatV += rhat[i] * v[i]
-		}
+		_, rhatV := op(phat, v, rhat)
 		if math.Abs(rhatV) < breakdown {
 			breakdowns++
 			rho = restart()
@@ -492,12 +517,7 @@ func bicgstab(method string, matvec func(x, dst []float64), precond func(r, z []
 			s[i] = r[i] - alpha*v[i]
 		}
 		precond(s, shat)
-		matvec(shat, t)
-		var tt, ts float64
-		for i := range t {
-			tt += t[i] * t[i]
-			ts += t[i] * s[i]
-		}
+		tt, ts := op(shat, t, s)
 		var omega float64
 		if tt > breakdown {
 			omega = ts / tt
@@ -510,7 +530,7 @@ func bicgstab(method string, matvec func(x, dst []float64), precond func(r, z []
 			}
 		}
 		if omega == 0 || math.Abs(omega) < breakdown {
-			if converged(matvec, x, b, t, tol) {
+			if converged(op, x, b, t, tol) {
 				return x, iters + 1, nil
 			}
 			breakdowns++
@@ -527,7 +547,7 @@ func bicgstab(method string, matvec func(x, dst []float64), precond func(r, z []
 		// extra matvec for the true-residual ∞-norm check; the %16
 		// backstop catches recursive-residual drift.
 		if target := tol * (maxB + maxX); rNorm <= target*target || iters%16 == 15 {
-			if converged(matvec, x, b, t, tol) {
+			if converged(op, x, b, t, tol) {
 				return x, iters + 1, nil
 			}
 		}
@@ -542,7 +562,7 @@ func bicgstab(method string, matvec func(x, dst []float64), precond func(r, z []
 			p[i] = r[i] + beta*(p[i]-omega*v[i])
 		}
 	}
-	if converged(matvec, x, b, t, tol) {
+	if converged(op, x, b, t, tol) {
 		return x, iters, nil
 	}
 	return nil, iters, &ConvergenceError{Method: method, Iterations: iters, Breakdowns: breakdowns, N: n, Tol: tol}
@@ -550,8 +570,8 @@ func bicgstab(method string, matvec func(x, dst []float64), precond func(r, z []
 
 // converged checks the true residual ‖b − op(x)‖∞ ≤ tol·(‖b‖∞ + ‖x‖∞),
 // using scratch as workspace.
-func converged(op func(x, dst []float64), x, b, scratch []float64, tol float64) bool {
-	op(x, scratch)
+func converged(op operator, x, b, scratch []float64, tol float64) bool {
+	op(x, scratch, scratch)
 	var res, maxB, maxX float64
 	for i := range scratch {
 		if r := math.Abs(b[i] - scratch[i]); r > res {

@@ -2,13 +2,39 @@ package matrix
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
+// Column indices are stored as int32: 12 bytes per stored entry (value
+// plus index) instead of 16, which is most of the memory traffic of the
+// iterative kernels. Row pointers stay int. Every entry point that takes
+// a column index refuses one above maxCol with an error rather than
+// truncating it.
+const maxCol = math.MaxInt32
+
+// checkColumn reports a column index that does not fit the int32 storage.
+func checkColumn(what string, j int) error {
+	if j > maxCol {
+		return fmt.Errorf("matrix: %s %d exceeds the int32 column range", what, j)
+	}
+	return nil
+}
+
+// entries returns the column indices and values stored at [lo, hi) of
+// a CSR layout, resliced to one length the compiler can see, so that
+// kernel loops ranging over them carry no bounds checks of their own.
+func entries(colIdx []int32, vals []float64, lo, hi int) ([]int32, []float64) {
+	vs := vals[lo:hi]
+	return colIdx[lo:hi][:len(vs)], vs
+}
+
 // coord is a single (row, col) entry used while assembling a sparse matrix.
 type coord struct {
-	row, col int
-	val      float64
+	row int
+	col int32
+	val float64
 }
 
 // SparseBuilder accumulates entries for a compressed sparse row matrix.
@@ -29,10 +55,13 @@ func (b *SparseBuilder) Add(i, j int, v float64) error {
 	if i < 0 || i >= b.rows || j < 0 || j >= b.cols {
 		return fmt.Errorf("matrix: sparse entry (%d,%d) out of bounds for %dx%d", i, j, b.rows, b.cols)
 	}
+	if err := checkColumn("sparse entry column", j); err != nil {
+		return err
+	}
 	if v == 0 {
 		return nil
 	}
-	b.entries = append(b.entries, coord{row: i, col: j, val: v})
+	b.entries = append(b.entries, coord{row: i, col: int32(j), val: v})
 	return nil
 }
 
@@ -66,7 +95,7 @@ func (b *SparseBuilder) Build() *CSR {
 		rows:   b.rows,
 		cols:   b.cols,
 		rowPtr: make([]int, b.rows+1),
-		colIdx: make([]int, len(merged)),
+		colIdx: make([]int32, len(merged)),
 		vals:   make([]float64, len(merged)),
 	}
 	for i, e := range merged {
@@ -80,11 +109,13 @@ func (b *SparseBuilder) Build() *CSR {
 	return m
 }
 
-// CSR is a compressed sparse row matrix.
+// CSR is a compressed sparse row matrix. Within each row the column
+// indices are strictly ascending; the Gauss–Seidel split and ILU(0)
+// rely on it.
 type CSR struct {
 	rows, cols int
 	rowPtr     []int
-	colIdx     []int
+	colIdx     []int32
 	vals       []float64
 }
 
@@ -102,10 +133,12 @@ func (m *CSR) At(i, j int) float64 {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("matrix: CSR index (%d,%d) out of bounds for %dx%d", i, j, m.rows, m.cols))
 	}
+	if j > maxCol {
+		return 0 // no stored column reaches past the int32 range
+	}
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	k := lo + sort.SearchInts(m.colIdx[lo:hi], j)
-	if k < hi && m.colIdx[k] == j {
-		return m.vals[k]
+	if k, ok := slices.BinarySearch(m.colIdx[lo:hi], int32(j)); ok {
+		return m.vals[lo+k]
 	}
 	return 0
 }
@@ -141,58 +174,37 @@ func (m *CSR) Equal(o *CSR) bool {
 
 // VecMul returns the row vector v * M.
 func (m *CSR) VecMul(v []float64) ([]float64, error) {
-	if len(v) != m.rows {
-		return nil, fmt.Errorf("matrix: CSR VecMul length %d does not match %d rows", len(v), m.rows)
-	}
 	out := make([]float64, m.cols)
-	for i, vv := range v {
-		if vv == 0 {
-			continue
-		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			out[m.colIdx[k]] += vv * m.vals[k]
-		}
-	}
-	return out, nil
+	return out, m.VecMulInto(v, out)
 }
 
 // VecMulInto computes v * M into dst, which must have length Cols.
 // It avoids allocation in hot iteration loops.
 func (m *CSR) VecMulInto(v, dst []float64) error {
 	if len(v) != m.rows {
-		return fmt.Errorf("matrix: CSR VecMulInto length %d does not match %d rows", len(v), m.rows)
+		return fmt.Errorf("matrix: CSR VecMul length %d does not match %d rows", len(v), m.rows)
 	}
 	if len(dst) != m.cols {
-		return fmt.Errorf("matrix: CSR VecMulInto dst length %d does not match %d cols", len(dst), m.cols)
+		return fmt.Errorf("matrix: CSR VecMul dst length %d does not match %d cols", len(dst), m.cols)
 	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i, vv := range v {
-		if vv == 0 {
-			continue
+	clear(dst)
+	lo := m.rowPtr[0]
+	for i, hi := range m.rowPtr[1:] {
+		if vv := v[i]; vv != 0 {
+			cols, vals := entries(m.colIdx, m.vals, lo, hi)
+			for k, a := range vals {
+				dst[cols[k]] += vv * a
+			}
 		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			dst[m.colIdx[k]] += vv * m.vals[k]
-		}
+		lo = hi
 	}
 	return nil
 }
 
 // MulVec returns the column vector M * v.
 func (m *CSR) MulVec(v []float64) ([]float64, error) {
-	if len(v) != m.cols {
-		return nil, fmt.Errorf("matrix: CSR MulVec length %d does not match %d cols", len(v), m.cols)
-	}
 	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * v[m.colIdx[k]]
-		}
-		out[i] = s
-	}
-	return out, nil
+	return out, m.MulVecInto(v, out)
 }
 
 // RowSums returns the per-row sums, e.g. for stochasticity checks.
@@ -212,19 +224,45 @@ func (m *CSR) RowSums() []float64 {
 // It avoids allocation in hot iteration loops.
 func (m *CSR) MulVecInto(v, dst []float64) error {
 	if len(v) != m.cols {
-		return fmt.Errorf("matrix: CSR MulVecInto length %d does not match %d cols", len(v), m.cols)
+		return fmt.Errorf("matrix: CSR MulVec length %d does not match %d cols", len(v), m.cols)
 	}
 	if len(dst) != m.rows {
-		return fmt.Errorf("matrix: CSR MulVecInto dst length %d does not match %d rows", len(dst), m.rows)
+		return fmt.Errorf("matrix: CSR MulVec dst length %d does not match %d rows", len(dst), m.rows)
 	}
-	for i := 0; i < m.rows; i++ {
+	lo := m.rowPtr[0]
+	for i, hi := range m.rowPtr[1:] {
+		cols, vals := entries(m.colIdx, m.vals, lo, hi)
 		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * v[m.colIdx[k]]
+		for k, a := range vals {
+			s += a * v[cols[k]]
 		}
 		dst[i] = s
+		lo = hi
 	}
 	return nil
+}
+
+// residualInto is the operator of the iterative solvers, fused with the
+// dot products that read its output: it writes dst = x − M·x and
+// returns Σ dst_i² and Σ dst_i·w_i, accumulated in ascending i. Each
+// dst_i is the row sum Σ_k M_ik x_k taken in the order of MulVecInto,
+// subtracted from x_i. M is square; x, dst and w have its order; w may
+// alias x or dst when the caller needs no dot product.
+func (m *CSR) residualInto(x, dst, w []float64) (dd, dw float64) {
+	lo := m.rowPtr[0]
+	for i, hi := range m.rowPtr[1:] {
+		cols, vals := entries(m.colIdx, m.vals, lo, hi)
+		var s float64
+		for k, a := range vals {
+			s += a * x[cols[k]]
+		}
+		d := x[i] - s
+		dst[i] = d
+		dd += d * d
+		dw += d * w[i]
+		lo = hi
+	}
+	return dd, dw
 }
 
 // Transpose returns Mᵀ as a new CSR, preserving sparsity.
@@ -233,7 +271,7 @@ func (m *CSR) Transpose() *CSR {
 		rows:   m.cols,
 		cols:   m.rows,
 		rowPtr: make([]int, m.cols+1),
-		colIdx: make([]int, len(m.vals)),
+		colIdx: make([]int32, len(m.vals)),
 		vals:   make([]float64, len(m.vals)),
 	}
 	for _, j := range m.colIdx {
@@ -248,7 +286,7 @@ func (m *CSR) Transpose() *CSR {
 			j := m.colIdx[k]
 			p := next[j]
 			next[j]++
-			t.colIdx[p] = i
+			t.colIdx[p] = int32(i)
 			t.vals[p] = m.vals[k]
 		}
 	}
@@ -265,7 +303,7 @@ func (m *CSR) ScaleRows(s []float64) (*CSR, error) {
 		rows:   m.rows,
 		cols:   m.cols,
 		rowPtr: append([]int(nil), m.rowPtr...),
-		colIdx: append([]int(nil), m.colIdx...),
+		colIdx: append([]int32(nil), m.colIdx...),
 		vals:   make([]float64, len(m.vals)),
 	}
 	for i := 0; i < m.rows; i++ {
@@ -285,7 +323,7 @@ func (m *CSR) Diagonal() []float64 {
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			if m.colIdx[k] == i {
+			if int(m.colIdx[k]) == i {
 				out[i] = m.vals[k]
 				break
 			}
@@ -299,7 +337,7 @@ func (m *CSR) Dense() *Dense {
 	d := NewDense(m.rows, m.cols)
 	for i := 0; i < m.rows; i++ {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			d.Set(i, m.colIdx[k], m.vals[k])
+			d.Set(i, int(m.colIdx[k]), m.vals[k])
 		}
 	}
 	return d
@@ -311,7 +349,7 @@ func (m *CSR) RowNonZeros(i int, fn func(j int, v float64)) {
 		panic(fmt.Sprintf("matrix: CSR row %d out of bounds for %d rows", i, m.rows))
 	}
 	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-		fn(m.colIdx[k], m.vals[k])
+		fn(int(m.colIdx[k]), m.vals[k])
 	}
 }
 
@@ -321,7 +359,13 @@ func (m *CSR) RowNonZeros(i int, fn func(j int, v float64)) {
 // the column selection is ascending — the common case for state-class
 // index sets).
 func (m *CSR) SubCSR(rowIdx, colIdx []int) (*CSR, error) {
-	colPos := make([]int, m.cols)
+	if err := checkColumn("SubCSR source width", m.cols); err != nil {
+		return nil, err
+	}
+	if err := checkColumn("SubCSR width", len(colIdx)); err != nil {
+		return nil, err
+	}
+	colPos := make([]int32, m.cols)
 	for i := range colPos {
 		colPos[i] = -1
 	}
@@ -333,7 +377,7 @@ func (m *CSR) SubCSR(rowIdx, colIdx []int) (*CSR, error) {
 		if p > 0 && colIdx[p-1] >= c {
 			ascending = false
 		}
-		colPos[c] = p
+		colPos[c] = int32(p)
 	}
 	out := &CSR{
 		rows:   len(rowIdx),
@@ -354,23 +398,9 @@ func (m *CSR) SubCSR(rowIdx, colIdx []int) (*CSR, error) {
 		if !ascending {
 			// A reordered column selection scrambles the in-row column
 			// order; restore the CSR invariant for this row.
-			sortRow(out.colIdx[rowStart:], out.vals[rowStart:])
+			sortRowStable(out.colIdx[rowStart:], out.vals[rowStart:])
 		}
 		out.rowPtr[p+1] = len(out.vals)
 	}
 	return out, nil
-}
-
-// sortRow co-sorts one row's column indices and values (rows are short, so
-// an insertion sort beats sort.Sort's interface overhead).
-func sortRow(cols []int, vals []float64) {
-	for i := 1; i < len(cols); i++ {
-		c, v := cols[i], vals[i]
-		j := i - 1
-		for j >= 0 && cols[j] > c {
-			cols[j+1], vals[j+1] = cols[j], vals[j]
-			j--
-		}
-		cols[j+1], vals[j+1] = c, v
-	}
 }

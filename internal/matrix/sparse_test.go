@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -344,5 +345,55 @@ func TestCSRMulVecInto(t *testing.T) {
 	}
 	if err := m.MulVecInto([]float64{1, 2, 3}, dst[:1]); err == nil {
 		t.Error("bad dst length: want error")
+	}
+}
+
+// TestRejectColumnsBeyondInt32 checks that column indices, stored as
+// int32, are refused past math.MaxInt32 instead of truncated: by both
+// builders, and by SubCSR, whose position table spans the source width.
+// The widths are formed at run time so the test compiles where int has
+// 32 bits; no int exceeds the range there, so it skips.
+func TestRejectColumnsBeyondInt32(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("int cannot exceed math.MaxInt32")
+	}
+	var limit int64 = math.MaxInt32
+	last := int(limit) // the largest storable column
+	wide := int(limit + 2)
+
+	b := NewSparseBuilder(1, wide)
+	if err := b.Add(0, last, 1); err != nil {
+		t.Fatalf("SparseBuilder.Add column %d: %v", last, err)
+	}
+	if err := b.Add(0, last+1, 1); err == nil {
+		t.Errorf("SparseBuilder.Add column %d: want error", last+1)
+	}
+	m := b.Build()
+	if m.NNZ() != 1 || m.At(0, last) != 1 || m.At(0, last+1) != 0 {
+		t.Errorf("NNZ=%d At(0,%d)=%v At(0,%d)=%v, want 1, 1, 0", m.NNZ(), last, m.At(0, last), last+1, m.At(0, last+1))
+	}
+	m.RowNonZeros(0, func(j int, v float64) {
+		if j != last {
+			t.Errorf("RowNonZeros column %d, want %d", j, last)
+		}
+	})
+	if _, err := m.SubCSR([]int{0}, []int{last}); err == nil {
+		t.Errorf("SubCSR of a %d-column matrix: want error", wide)
+	}
+
+	rb := NewRowBuilder(wide)
+	if err := rb.Add(last, 1); err != nil {
+		t.Fatalf("RowBuilder.Add column %d: %v", last, err)
+	}
+	if err := rb.Add(last+1, 1); err == nil {
+		t.Errorf("RowBuilder.Add column %d: want error", last+1)
+	}
+	rb.EndRow()
+	rm, err := ConcatRows(wide, rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rm.NNZ() != 1 || rm.At(0, last) != 1 {
+		t.Errorf("RowBuilder row: NNZ=%d At(0,%d)=%v, want 1 and 1", rm.NNZ(), last, rm.At(0, last))
 	}
 }

@@ -468,7 +468,7 @@ func TestKernelsMatchReference(t *testing.T) {
 						wt += w[i] * want[i]
 					}
 					got := make([]float64, n)
-					dd, dw := a.residualInto(x, got, w)
+					dd, dw := a.iMinusInto(x, got, w)
 					requireBits(t, "x − Mx", got, want)
 					requireBit(t, "t·t", dd, tt)
 					requireBit(t, "t·s", dw, tw)

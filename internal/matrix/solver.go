@@ -429,7 +429,7 @@ func (f *krylovFactorization) Solve(b, x0 []float64, left bool) ([]float64, erro
 	default:
 		precond = f.lu.apply
 	}
-	x, iters, err := bicgstab(method, a.residualInto, precond, b, x0, f.tol, f.maxIter)
+	x, iters, err := bicgstab(method, a.iMinusInto, precond, b, x0, f.tol, f.maxIter)
 	f.iters += int64(iters)
 	return x, err
 }
@@ -443,7 +443,7 @@ func (f *krylovFactorization) Stats() SolveStats {
 
 // operator applies the iteration's system matrix, dst = x − A·x, and
 // returns the dot products Σ dst_i² and Σ dst_i·w_i of its output (see
-// CSR.residualInto).
+// CSR.iMinusInto).
 type operator func(x, dst, w []float64) (dd, dw float64)
 
 // bicgstabVectors is the number of work vectors one BiCGSTAB solve uses.

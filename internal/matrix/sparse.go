@@ -9,8 +9,8 @@ import (
 
 // Column indices are stored as int32: 12 bytes per stored entry (value
 // plus index) instead of 16, which is most of the memory traffic of the
-// iterative kernels. Row pointers stay int. Every entry point that takes
-// a column index refuses one above maxCol with an error rather than
+// iterative kernels. Row pointers stay int. The builders and SubCSR
+// refuse a column or width above maxCol with an error rather than
 // truncating it.
 const maxCol = math.MaxInt32
 
@@ -242,13 +242,13 @@ func (m *CSR) MulVecInto(v, dst []float64) error {
 	return nil
 }
 
-// residualInto is the operator of the iterative solvers, fused with the
-// dot products that read its output: it writes dst = x − M·x and
+// iMinusInto is the operator of the iterative solvers, (I − M)x, fused
+// with the dot products that read its output: it writes dst = x − M·x and
 // returns Σ dst_i² and Σ dst_i·w_i, accumulated in ascending i. Each
 // dst_i is the row sum Σ_k M_ik x_k taken in the order of MulVecInto,
 // subtracted from x_i. M is square; x, dst and w have its order; w may
 // alias x or dst when the caller needs no dot product.
-func (m *CSR) residualInto(x, dst, w []float64) (dd, dw float64) {
+func (m *CSR) iMinusInto(x, dst, w []float64) (dd, dw float64) {
 	lo := m.rowPtr[0]
 	for i, hi := range m.rowPtr[1:] {
 		cols, vals := entries(m.colIdx, m.vals, lo, hi)

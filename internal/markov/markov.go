@@ -13,35 +13,39 @@
 // (the paper's safe set S and polluted set P); the remaining states form
 // named absorbing classes.
 //
-// The pipeline is sparse end-to-end: the blocks of the transition matrix
-// are carved directly out of the CSR, every relation is routed through the
-// pluggable matrix.Solver interface, and nothing is densified unless the
-// dense LU backend itself is selected. Factorizations and the shared
-// visits vector α_T(I−T)⁻¹ are cached on the Chain and reused across
-// relations, so e.g. E(T_S), E(T_P) and the absorption probabilities cost
-// one linear solve between them.
+// The pipeline is sparse end-to-end. The chain stores one copy of its
+// transient transitions, the block T carved directly out of the CSR; the
+// quadrants M_A, M_AB, M_BA and M_B are views of T's rows, the left
+// solves of T, M_A and M_B share one transpose Tᵀ, and when I−T and I−M_A
+// both take ILU(0), the factors of I−M_A are T's A rows of the factors
+// of I−T. An absorbing class is kept only as its row sums. Every relation
+// is routed through the pluggable matrix.Solver interface, and nothing
+// is densified unless the dense LU backend itself is selected.
+// Factorizations and the shared visits vector α_T(I−T)⁻¹ are cached on
+// the Chain and reused across relations, so e.g. E(T_S), E(T_P) and the
+// absorption probabilities cost one linear solve between them.
 package markov
 
 import (
 	"fmt"
+	"slices"
 
 	"targetedattacks/internal/matrix"
 )
 
 // Chain is an absorbing discrete-time Markov chain whose transient states
-// are split into two subsets. All CSR blocks are extracted once at
-// construction; the analytic methods are then pure (sparse) linear
-// algebra. A Chain caches factorizations and shared solves, so it is not
-// safe for concurrent use.
+// are split into two subsets. The transient block and the absorbing
+// row sums are extracted once at construction; the analytic methods are
+// then pure (sparse) linear algebra. A Chain caches factorizations and
+// shared solves, so it is not safe for concurrent use.
 type Chain struct {
-	// Block decomposition of the transition matrix restricted to the
-	// transient states, in the (A, B) order.
-	ma, mab, mba, mb *matrix.CSR
-	// tt is the full transient block T = [[M_A, M_AB], [M_BA, M_B]].
-	tt *matrix.CSR
-	// absorbing[class] holds the |A|+|B| by |class| block of transitions
-	// from transient states into that absorbing class.
-	absorbing map[string]*matrix.CSR
+	// tt is the transient block T = [[M_A, M_AB], [M_BA, M_B]] in the
+	// (A, B) order, the chain's one stored copy of its transient
+	// transitions; ma, mab, mba and mb are views of its quadrants.
+	tt, ma, mab, mba, mb *matrix.CSR
+	// absorbing[class] holds R_U 1, the mass each transient state sends
+	// into that absorbing class in one step, in the (A, B) order.
+	absorbing map[string][]float64
 	classes   []string // deterministic iteration order
 	alphaA    []float64
 	alphaB    []float64
@@ -159,8 +163,10 @@ type Spec struct {
 	Solver matrix.Solver
 }
 
-// NewChain validates a Spec and extracts the CSR blocks used by all
-// analytic computations. The full matrix is never densified.
+// NewChain validates a Spec and extracts the transient block T, whose
+// quadrants M_A, M_AB, M_BA and M_B are views of it (matrix.Partition),
+// and each absorbing class's row sums. The full matrix is never
+// densified.
 func NewChain(spec Spec) (*Chain, error) {
 	if spec.Full == nil {
 		return nil, fmt.Errorf("markov: Spec.Full is nil")
@@ -205,44 +211,31 @@ func NewChain(spec Spec) (*Chain, error) {
 		}
 	}
 
-	sub := spec.Full.SubCSR
-	ma, err := sub(spec.SubsetA, spec.SubsetA)
-	if err != nil {
-		return nil, err
-	}
-	mab, err := sub(spec.SubsetA, spec.SubsetB)
-	if err != nil {
-		return nil, err
-	}
-	mba, err := sub(spec.SubsetB, spec.SubsetA)
-	if err != nil {
-		return nil, err
-	}
-	mb, err := sub(spec.SubsetB, spec.SubsetB)
-	if err != nil {
-		return nil, err
-	}
 	transient := make([]int, 0, len(spec.SubsetA)+len(spec.SubsetB))
 	transient = append(transient, spec.SubsetA...)
 	transient = append(transient, spec.SubsetB...)
-	tt, err := sub(transient, transient)
+	tt, err := spec.Full.SubCSR(transient, transient)
 	if err != nil {
 		return nil, err
 	}
-	abs := make(map[string]*matrix.CSR, len(spec.AbsorbingClasses))
+	blocks, err := matrix.NewPartition(tt, len(spec.SubsetA))
+	if err != nil {
+		return nil, err
+	}
+	abs := make(map[string][]float64, len(spec.AbsorbingClasses))
 	for name, idx := range spec.AbsorbingClasses {
-		blk, err := sub(transient, idx)
+		sums, err := spec.Full.SubRowSums(transient, idx)
 		if err != nil {
 			return nil, err
 		}
-		abs[name] = blk
+		abs[name] = sums
 	}
 	solver := spec.Solver
 	if solver == nil {
 		solver = matrix.DenseSolver{}
 	}
 	c := &Chain{
-		ma: ma, mab: mab, mba: mba, mb: mb, tt: tt,
+		tt: blocks.T, ma: blocks.A, mab: blocks.AB, mba: blocks.BA, mb: blocks.B,
 		absorbing: abs,
 		classes:   append([]string(nil), spec.ClassOrder...),
 		alphaA:    pick(spec.Alpha, spec.SubsetA),
@@ -612,7 +605,7 @@ func (c *Chain) AbsorptionProbabilities() (map[string]float64, error) {
 	out := make(map[string]float64, len(c.absorbing))
 	for _, name := range c.classes {
 		// R_U 1 is the per-transient-row mass flowing into class U.
-		p, err := matrix.Dot(y, c.absorbing[name].RowSums())
+		p, err := matrix.Dot(y, c.absorbing[name])
 		if err != nil {
 			return nil, err
 		}
@@ -667,17 +660,22 @@ func (c *Chain) HitProbabilityB() (float64, error) {
 // corresponding to subset A. Initial mass on subset B contributes
 // nothing. Together with HitProbabilityB this separates "dies clean"
 // from "was ever dirty": P(ever in B ∪ other classes) = 1 − AbsorbedWithinA(safe classes).
+// Each class counts once: an unknown or repeated name is an error.
 func (c *Chain) AbsorbedWithinA(classes ...string) (float64, error) {
+	for i, name := range classes {
+		if _, ok := c.absorbing[name]; !ok {
+			return 0, fmt.Errorf("markov: unknown absorbing class %q", name)
+		}
+		if slices.Contains(classes[:i], name) {
+			return 0, fmt.Errorf("markov: absorbing class %q named twice", name)
+		}
+	}
 	if c.nA == 0 {
 		return 0, nil
 	}
 	rhs := make([]float64, c.nA)
 	for _, name := range classes {
-		blk, ok := c.absorbing[name]
-		if !ok {
-			return 0, fmt.Errorf("markov: unknown absorbing class %q", name)
-		}
-		for i, s := range blk.RowSums()[:c.nA] {
+		for i, s := range c.absorbing[name][:c.nA] {
 			rhs[i] += s
 		}
 	}

@@ -42,12 +42,13 @@ func (ILUSolver) Name() string { return "ilu" }
 // Factor implements Solver: it assembles A = I − M in CSR form and
 // computes its ILU(0) factors eagerly (unlike the lazy dense LU, the
 // factorization is cheap — O(Σ_rows nnz(row)²) — and every solve needs
-// it).
+// it). The leading block A of a Partition reuses the leading rows of
+// T's factors when T has been factored already (see iluOf).
 func (s ILUSolver) Factor(m *CSR) (Factorization, error) {
 	if err := checkSquare(m); err != nil {
 		return nil, err
 	}
-	lu, err := factorILU0(m)
+	lu, err := iluOf(m)
 	if err != nil {
 		return nil, err
 	}
@@ -61,15 +62,38 @@ func (s ILUSolver) Factor(m *CSR) (Factorization, error) {
 const iluPivotFloor = 1e-300
 
 // iluFactors stores the combined L\U factors of ILU(0) in one CSR
-// layout: within each (column-sorted) row, entries left of the diagonal
-// are L (unit diagonal implied), the diagonal and entries right of it
-// are U.
+// layout: within each (column-sorted) row [rowStart[i], rowEnd[i]),
+// entries left of the diagonal are L (unit diagonal implied), the
+// diagonal and entries right of it are U. Factors computed by
+// factorILU0 keep one row-pointer array; the factors of a Partition's
+// leading block are a view of T's leading rows that ends each row
+// before its first trailing column.
 type iluFactors struct {
-	n      int
-	rowPtr []int
-	colIdx []int32
-	vals   []float64
-	diag   []int // index into vals/colIdx of each row's diagonal entry
+	n                int
+	rowStart, rowEnd []int
+	colIdx           []int32
+	vals             []float64
+	diag             []int // index into vals/colIdx of each row's diagonal entry
+}
+
+// iluOf returns the ILU(0) factors of I − m. Elimination in row order
+// reads only earlier rows, and a leading row's updates to its leading
+// columns come only from leading columns, so the factors of I − A are
+// the leading rows of T's factors cut at column n, bit for bit: a
+// Partition keeps T's factors and lends that view to A.
+func iluOf(m *CSR) (*iluFactors, error) {
+	p := m.part
+	switch {
+	case p != nil && p.lu != nil && m.role == roleT:
+		return p.lu, nil
+	case p != nil && p.lu != nil && m.role == roleA:
+		return p.leadingLU(), nil
+	}
+	lu, err := factorILU0(m)
+	if err == nil && p != nil && m.role == roleT {
+		p.lu = lu
+	}
+	return lu, err
 }
 
 // factorILU0 assembles A = I − M on M's sparsity pattern (plus a
@@ -78,12 +102,14 @@ type iluFactors struct {
 // approximation A ≈ LU.
 func factorILU0(m *CSR) (*iluFactors, error) {
 	n := m.Rows()
+	rowPtr := make([]int, n+1)
 	lu := &iluFactors{
-		n:      n,
-		rowPtr: make([]int, n+1),
-		colIdx: make([]int32, 0, m.NNZ()+n),
-		vals:   make([]float64, 0, m.NNZ()+n),
-		diag:   make([]int, n),
+		n:        n,
+		rowStart: rowPtr[:n],
+		rowEnd:   rowPtr[1:],
+		colIdx:   make([]int32, 0, m.NNZ()+n),
+		vals:     make([]float64, 0, m.NNZ()+n),
+		diag:     make([]int, n),
 	}
 	// Assembly: rows of M are column-sorted, so the diagonal of A can be
 	// merged in at its sorted position in one pass.
@@ -109,13 +135,13 @@ func factorILU0(m *CSR) (*iluFactors, error) {
 			lu.colIdx = append(lu.colIdx, int32(i))
 			lu.vals = append(lu.vals, 1)
 		}
-		lu.rowPtr[i+1] = len(lu.vals)
+		rowPtr[i+1] = len(lu.vals)
 	}
 	// IKJ elimination. pos scatters the current row's pattern for O(1)
 	// membership tests (entry index + 1; 0 = outside the pattern).
 	pos := make([]int, n)
 	for i := 0; i < n; i++ {
-		start, end := lu.rowPtr[i], lu.rowPtr[i+1]
+		start, end := rowPtr[i], rowPtr[i+1]
 		for k := start; k < end; k++ {
 			pos[lu.colIdx[k]] = k + 1
 		}
@@ -126,7 +152,7 @@ func factorILU0(m *CSR) (*iluFactors, error) {
 			}
 			lik := lu.vals[k] / lu.vals[lu.diag[kcol]]
 			lu.vals[k] = lik
-			for kk := lu.diag[kcol] + 1; kk < lu.rowPtr[kcol+1]; kk++ {
+			for kk := lu.diag[kcol] + 1; kk < rowPtr[kcol+1]; kk++ {
 				if p := pos[lu.colIdx[kk]]; p != 0 {
 					lu.vals[p-1] -= lik * lu.vals[kk]
 				}
@@ -145,9 +171,9 @@ func factorILU0(m *CSR) (*iluFactors, error) {
 // apply writes z = U⁻¹ L⁻¹ r: forward substitution through the unit
 // lower factor, then backward substitution through the upper factor.
 func (lu *iluFactors) apply(r, z []float64) {
-	rowPtr, colIdx, vals, diag := lu.rowPtr, lu.colIdx, lu.vals, lu.diag
+	rowStart, rowEnd, colIdx, vals, diag := lu.rowStart, lu.rowEnd, lu.colIdx, lu.vals, lu.diag
 	for i, d := range diag {
-		cols, ls := entries(colIdx, vals, rowPtr[i], d)
+		cols, ls := entries(colIdx, vals, rowStart[i], d)
 		s := r[i]
 		for k, a := range ls {
 			s -= a * z[cols[k]]
@@ -156,7 +182,7 @@ func (lu *iluFactors) apply(r, z []float64) {
 	}
 	for i := lu.n - 1; i >= 0; i-- {
 		d := diag[i]
-		cols, us := entries(colIdx, vals, d+1, rowPtr[i+1])
+		cols, us := entries(colIdx, vals, d+1, rowEnd[i])
 		s := z[i]
 		for k, a := range us {
 			s -= a * z[cols[k]]
@@ -171,19 +197,19 @@ func (lu *iluFactors) apply(r, z []float64) {
 // pending entries below it), then Lᵀz = w descending with the implied
 // unit diagonal.
 func (lu *iluFactors) applyTransposed(r, z []float64) {
-	rowPtr, colIdx, vals, diag := lu.rowPtr, lu.colIdx, lu.vals, lu.diag
+	rowStart, rowEnd, colIdx, vals, diag := lu.rowStart, lu.rowEnd, lu.colIdx, lu.vals, lu.diag
 	copy(z, r)
 	for i, d := range diag {
 		z[i] /= vals[d]
 		wi := z[i]
-		cols, us := entries(colIdx, vals, d+1, rowPtr[i+1])
+		cols, us := entries(colIdx, vals, d+1, rowEnd[i])
 		for k, a := range us {
 			z[cols[k]] -= a * wi
 		}
 	}
 	for i := lu.n - 1; i >= 0; i-- {
 		zi := z[i]
-		cols, ls := entries(colIdx, vals, rowPtr[i], diag[i])
+		cols, ls := entries(colIdx, vals, rowStart[i], diag[i])
 		for k, a := range ls {
 			z[cols[k]] -= a * zi
 		}

@@ -61,7 +61,7 @@ func TestILUFactorsReproduceAOnPattern(t *testing.T) {
 	}
 	// Rebuild LU densely and compare against A = I − full.
 	get := func(f *iluFactors, i, j int) float64 {
-		for k := f.rowPtr[i]; k < f.rowPtr[i+1]; k++ {
+		for k := f.rowStart[i]; k < f.rowEnd[i]; k++ {
 			if int(f.colIdx[k]) == j {
 				return f.vals[k]
 			}

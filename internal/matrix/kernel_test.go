@@ -23,8 +23,10 @@ type refCSR struct {
 	vals       []float64
 }
 
+// toRef converts a matrix with its own row-pointer layout, reading the
+// storage directly rather than through the kernels under test.
 func toRef(m *CSR) *refCSR {
-	r := &refCSR{rows: m.rows, cols: m.cols, rowPtr: m.rowPtr, colIdx: make([]int, len(m.colIdx)), vals: m.vals}
+	r := &refCSR{rows: m.rows, cols: m.cols, rowPtr: append([]int{0}, m.rowEnd...), colIdx: make([]int, len(m.colIdx)), vals: m.vals}
 	for k, j := range m.colIdx {
 		r.colIdx[k] = int(j)
 	}

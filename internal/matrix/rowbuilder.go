@@ -104,20 +104,16 @@ func ConcatRows(cols int, parts ...*RowBuilder) (*CSR, error) {
 		rows += p.Rows()
 		nnz += len(p.colIdx)
 	}
-	m := &CSR{
-		rows:   rows,
-		cols:   cols,
-		rowPtr: make([]int, 1, rows+1),
-		colIdx: make([]int32, 0, nnz),
-		vals:   make([]float64, 0, nnz),
-	}
+	rowPtr := make([]int, 1, rows+1)
+	colIdx := make([]int32, 0, nnz)
+	vals := make([]float64, 0, nnz)
 	for _, p := range parts {
-		base := len(m.colIdx)
+		base := len(colIdx)
 		for r := 1; r < len(p.rowPtr); r++ {
-			m.rowPtr = append(m.rowPtr, base+p.rowPtr[r])
+			rowPtr = append(rowPtr, base+p.rowPtr[r])
 		}
-		m.colIdx = append(m.colIdx, p.colIdx...)
-		m.vals = append(m.vals, p.vals...)
+		colIdx = append(colIdx, p.colIdx...)
+		vals = append(vals, p.vals...)
 	}
-	return m, nil
+	return newCSR(rows, cols, rowPtr, colIdx, vals), nil
 }

@@ -317,8 +317,8 @@ func (s BiCGSTABSolver) Factor(m *CSR) (Factorization, error) {
 const bicgstabPrecondSweeps = 2
 
 // gsSplit locates, in every row i of an iteration matrix, the strictly
-// lower entries [rowPtr[i], lowEnd[i]) and the strictly upper entries
-// [upStart[i], rowPtr[i+1]); a stored diagonal lies between them. Rows
+// lower entries [rowStart[i], lowEnd[i]) and the strictly upper entries
+// [upStart[i], rowEnd[i]); a stored diagonal lies between them. Rows
 // are column-sorted, so the sweeps below range over these runs instead
 // of testing every entry's column against i.
 type gsSplit struct {
@@ -327,16 +327,18 @@ type gsSplit struct {
 
 func newGSSplit(m *CSR) *gsSplit {
 	sp := &gsSplit{lowEnd: make([]int, m.rows), upStart: make([]int, m.rows)}
-	for i := range sp.lowEnd {
-		k, end := m.rowPtr[i], m.rowPtr[i+1]
-		for k < end && int(m.colIdx[k]) < i {
+	diag := m.colBase // stored column of row i's diagonal, i + colBase
+	for i, k := range m.rowStart {
+		end := m.rowEnd[i]
+		for k < end && m.colIdx[k] < diag {
 			k++
 		}
 		sp.lowEnd[i] = k
-		if k < end && int(m.colIdx[k]) == i {
+		if k < end && m.colIdx[k] == diag {
 			k++
 		}
 		sp.upStart[i] = k
+		diag++
 	}
 	return sp
 }
@@ -347,25 +349,25 @@ func newGSSplit(m *CSR) *gsSplit {
 // strictly lower entries, since z is still zero above the diagonal; each
 // row sums its entries in ascending column order.
 func gsSweepsInto(m *CSR, sp *gsSplit, invDiag, r, z []float64) {
-	rowPtr, colIdx, vals := m.rowPtr, m.colIdx, m.vals
+	rowStart, rowEnd, colIdx, vals, base := m.rowStart, m.rowEnd, m.colIdx, m.vals, m.colBase
 	for i, lowEnd := range sp.lowEnd {
-		cols, lower := entries(colIdx, vals, rowPtr[i], lowEnd)
+		cols, lower := entries(colIdx, vals, rowStart[i], lowEnd)
 		s := r[i]
 		for k, a := range lower {
-			s += a * z[cols[k]]
+			s += a * z[cols[k]-base]
 		}
 		z[i] = s * invDiag[i]
 	}
 	for sweep := 1; sweep < bicgstabPrecondSweeps; sweep++ {
 		for i, lowEnd := range sp.lowEnd {
 			s := r[i]
-			cols, lower := entries(colIdx, vals, rowPtr[i], lowEnd)
+			cols, lower := entries(colIdx, vals, rowStart[i], lowEnd)
 			for k, a := range lower {
-				s += a * z[cols[k]]
+				s += a * z[cols[k]-base]
 			}
-			cols, upper := entries(colIdx, vals, sp.upStart[i], rowPtr[i+1])
+			cols, upper := entries(colIdx, vals, sp.upStart[i], rowEnd[i])
 			for k, a := range upper {
-				s += a * z[cols[k]]
+				s += a * z[cols[k]-base]
 			}
 			z[i] = s * invDiag[i]
 		}
@@ -379,7 +381,7 @@ func gsSweepsInto(m *CSR, sp *gsSplit, invDiag, r, z []float64) {
 // factors applied directly or transposed (lu).
 type krylovFactorization struct {
 	m       *CSR
-	mT      *CSR        // lazily built transpose, for left systems
+	mT      *CSR        // transpose for left systems, fetched on first use
 	invDiag []float64   // 1/(1−M_ii), shared by M and Mᵀ; nil with lu
 	split   [2]*gsSplit // GS row splits of M and Mᵀ, built on first use
 	lu      *iluFactors // ILU(0) factors of I − M; nil for GS sweeps
@@ -403,7 +405,7 @@ func (f *krylovFactorization) Solve(b, x0 []float64, left bool) ([]float64, erro
 	a, side := f.m, 0
 	if left {
 		if f.mT == nil {
-			f.mT = f.m.Transpose()
+			f.mT = f.m.transposed()
 		}
 		a, side = f.mT, 1
 	}

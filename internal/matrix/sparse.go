@@ -91,33 +91,58 @@ func (b *SparseBuilder) Build() *CSR {
 		merged = append(merged, e)
 	}
 	b.entries = merged
-	m := &CSR{
-		rows:   b.rows,
-		cols:   b.cols,
-		rowPtr: make([]int, b.rows+1),
-		colIdx: make([]int32, len(merged)),
-		vals:   make([]float64, len(merged)),
-	}
+	rowPtr := make([]int, b.rows+1)
+	colIdx := make([]int32, len(merged))
+	vals := make([]float64, len(merged))
 	for i, e := range merged {
-		m.rowPtr[e.row+1]++
-		m.colIdx[i] = e.col
-		m.vals[i] = e.val
+		rowPtr[e.row+1]++
+		colIdx[i] = e.col
+		vals[i] = e.val
 	}
 	for r := 0; r < b.rows; r++ {
-		m.rowPtr[r+1] += m.rowPtr[r]
+		rowPtr[r+1] += rowPtr[r]
 	}
-	return m
+	return newCSR(b.rows, b.cols, rowPtr, colIdx, vals)
 }
 
-// CSR is a compressed sparse row matrix. Within each row the column
-// indices are strictly ascending; the Gauss–Seidel split and ILU(0)
-// rely on it.
+// CSR is a compressed sparse row matrix. Row i's entries are stored at
+// [rowStart[i], rowEnd[i]) of colIdx and vals; within each row the column
+// indices are strictly ascending (the Gauss–Seidel split and ILU(0) rely
+// on it), and stored column c is column c − colBase. A matrix assembled
+// on its own keeps one row-pointer array, of which rowStart and rowEnd
+// are two overlapping windows, and colBase 0. The blocks of a Partition
+// are views: they read the partitioned matrix's arrays through their
+// own row ranges and column base, and store no entries of their own.
 type CSR struct {
-	rows, cols int
-	rowPtr     []int
-	colIdx     []int32
-	vals       []float64
+	rows, cols       int
+	rowStart, rowEnd []int
+	colBase          int32
+	nnz              int
+	colIdx           []int32
+	vals             []float64
+	// part links a Partition's T and diagonal blocks to the transpose
+	// and ILU(0) factors they share; nil for any other matrix.
+	part *partition
+	role blockRole
 }
+
+// newCSR wraps a row-pointer layout: row i is [rowPtr[i], rowPtr[i+1]).
+func newCSR(rows, cols int, rowPtr []int, colIdx []int32, vals []float64) *CSR {
+	return &CSR{
+		rows: rows, cols: cols,
+		rowStart: rowPtr[:rows], rowEnd: rowPtr[1:],
+		nnz: len(vals), colIdx: colIdx, vals: vals,
+	}
+}
+
+// row returns the stored column indices and values of row i.
+func (m *CSR) row(i int) ([]int32, []float64) {
+	return entries(m.colIdx, m.vals, m.rowStart[i], m.rowEnd[i])
+}
+
+// ends returns rowEnd resliced to the length of rowStart, so loops that
+// range over rowStart index it without bounds checks.
+func (m *CSR) ends() []int { return m.rowEnd[:len(m.rowStart)] }
 
 // Rows returns the number of rows.
 func (m *CSR) Rows() int { return m.rows }
@@ -126,7 +151,7 @@ func (m *CSR) Rows() int { return m.rows }
 func (m *CSR) Cols() int { return m.cols }
 
 // NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.vals) }
+func (m *CSR) NNZ() int { return m.nnz }
 
 // At returns the element at (i, j); O(log nnz(row i)).
 func (m *CSR) At(i, j int) float64 {
@@ -136,37 +161,34 @@ func (m *CSR) At(i, j int) float64 {
 	if j > maxCol {
 		return 0 // no stored column reaches past the int32 range
 	}
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	if k, ok := slices.BinarySearch(m.colIdx[lo:hi], int32(j)); ok {
-		return m.vals[lo+k]
+	cols, vals := m.row(i)
+	if k, ok := slices.BinarySearch(cols, m.colBase+int32(j)); ok {
+		return vals[k]
 	}
 	return 0
 }
 
 // Equal reports whether m and o are identical as stored CSR matrices:
-// same shape, same row pointers, same column indices and bit-identical
+// same shape, the same columns stored in every row and bit-identical
 // values (compared with ==, so a NaN entry never compares equal). It is
 // stricter than numerical equality — two matrices representing the same
 // operator with different structural zeros compare unequal — which is
 // exactly what the serial/parallel construction equivalence guarantees
 // need.
 func (m *CSR) Equal(o *CSR) bool {
-	if m.rows != o.rows || m.cols != o.cols || len(m.vals) != len(o.vals) {
+	if m.rows != o.rows || m.cols != o.cols || m.nnz != o.nnz {
 		return false
 	}
-	for i := range m.rowPtr {
-		if m.rowPtr[i] != o.rowPtr[i] {
+	for i := 0; i < m.rows; i++ {
+		mc, mv := m.row(i)
+		oc, ov := o.row(i)
+		if len(mc) != len(oc) {
 			return false
 		}
-	}
-	for i := range m.colIdx {
-		if m.colIdx[i] != o.colIdx[i] {
-			return false
-		}
-	}
-	for i := range m.vals {
-		if m.vals[i] != o.vals[i] {
-			return false
+		for k, c := range mc {
+			if c-m.colBase != oc[k]-o.colBase || mv[k] != ov[k] {
+				return false
+			}
 		}
 	}
 	return true
@@ -188,15 +210,14 @@ func (m *CSR) VecMulInto(v, dst []float64) error {
 		return fmt.Errorf("matrix: CSR VecMul dst length %d does not match %d cols", len(dst), m.cols)
 	}
 	clear(dst)
-	lo := m.rowPtr[0]
-	for i, hi := range m.rowPtr[1:] {
+	base, ends := m.colBase, m.ends()
+	for i, lo := range m.rowStart {
 		if vv := v[i]; vv != 0 {
-			cols, vals := entries(m.colIdx, m.vals, lo, hi)
+			cols, vals := entries(m.colIdx, m.vals, lo, ends[i])
 			for k, a := range vals {
-				dst[cols[k]] += vv * a
+				dst[cols[k]-base] += vv * a
 			}
 		}
-		lo = hi
 	}
 	return nil
 }
@@ -210,10 +231,11 @@ func (m *CSR) MulVec(v []float64) ([]float64, error) {
 // RowSums returns the per-row sums, e.g. for stochasticity checks.
 func (m *CSR) RowSums() []float64 {
 	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
+	for i := range out {
+		_, vals := m.row(i)
 		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k]
+		for _, a := range vals {
+			s += a
 		}
 		out[i] = s
 	}
@@ -229,15 +251,14 @@ func (m *CSR) MulVecInto(v, dst []float64) error {
 	if len(dst) != m.rows {
 		return fmt.Errorf("matrix: CSR MulVec dst length %d does not match %d rows", len(dst), m.rows)
 	}
-	lo := m.rowPtr[0]
-	for i, hi := range m.rowPtr[1:] {
-		cols, vals := entries(m.colIdx, m.vals, lo, hi)
+	base, ends := m.colBase, m.ends()
+	for i, lo := range m.rowStart {
+		cols, vals := entries(m.colIdx, m.vals, lo, ends[i])
 		var s float64
 		for k, a := range vals {
-			s += a * v[cols[k]]
+			s += a * v[cols[k]-base]
 		}
 		dst[i] = s
-		lo = hi
 	}
 	return nil
 }
@@ -249,48 +270,47 @@ func (m *CSR) MulVecInto(v, dst []float64) error {
 // subtracted from x_i. M is square; x, dst and w have its order; w may
 // alias x or dst when the caller needs no dot product.
 func (m *CSR) iMinusInto(x, dst, w []float64) (dd, dw float64) {
-	lo := m.rowPtr[0]
-	for i, hi := range m.rowPtr[1:] {
-		cols, vals := entries(m.colIdx, m.vals, lo, hi)
+	base, ends := m.colBase, m.ends()
+	for i, lo := range m.rowStart {
+		cols, vals := entries(m.colIdx, m.vals, lo, ends[i])
 		var s float64
 		for k, a := range vals {
-			s += a * x[cols[k]]
+			s += a * x[cols[k]-base]
 		}
 		d := x[i] - s
 		dst[i] = d
 		dd += d * d
 		dw += d * w[i]
-		lo = hi
 	}
 	return dd, dw
 }
 
 // Transpose returns Mᵀ as a new CSR, preserving sparsity.
 func (m *CSR) Transpose() *CSR {
-	t := &CSR{
-		rows:   m.cols,
-		cols:   m.rows,
-		rowPtr: make([]int, m.cols+1),
-		colIdx: make([]int32, len(m.vals)),
-		vals:   make([]float64, len(m.vals)),
-	}
-	for _, j := range m.colIdx {
-		t.rowPtr[j+1]++
-	}
-	for r := 0; r < t.rows; r++ {
-		t.rowPtr[r+1] += t.rowPtr[r]
-	}
-	next := append([]int(nil), t.rowPtr[:t.rows]...)
+	rowPtr := make([]int, m.cols+1)
 	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			j := m.colIdx[k]
-			p := next[j]
-			next[j]++
-			t.colIdx[p] = int32(i)
-			t.vals[p] = m.vals[k]
+		cols, _ := m.row(i)
+		for _, j := range cols {
+			rowPtr[j-m.colBase+1]++
 		}
 	}
-	return t
+	for r := 0; r < m.cols; r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	colIdx := make([]int32, m.nnz)
+	vals := make([]float64, m.nnz)
+	next := append([]int(nil), rowPtr[:m.cols]...)
+	for i := 0; i < m.rows; i++ {
+		cols, vs := m.row(i)
+		for k, j := range cols {
+			j -= m.colBase
+			p := next[j]
+			next[j]++
+			colIdx[p] = int32(i)
+			vals[p] = vs[k]
+		}
+	}
+	return newCSR(m.cols, m.rows, rowPtr, colIdx, vals)
 }
 
 // ScaleRows returns diag(s) * M: row i multiplied by s[i]. The sparsity
@@ -299,32 +319,28 @@ func (m *CSR) ScaleRows(s []float64) (*CSR, error) {
 	if len(s) != m.rows {
 		return nil, fmt.Errorf("matrix: ScaleRows scale length %d does not match %d rows", len(s), m.rows)
 	}
-	out := &CSR{
-		rows:   m.rows,
-		cols:   m.cols,
-		rowPtr: append([]int(nil), m.rowPtr...),
-		colIdx: append([]int32(nil), m.colIdx...),
-		vals:   make([]float64, len(m.vals)),
-	}
+	rowPtr := make([]int, m.rows+1)
+	colIdx := make([]int32, 0, m.nnz)
+	vals := make([]float64, 0, m.nnz)
 	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			out.vals[k] = m.vals[k] * s[i]
+		cols, vs := m.row(i)
+		for k, j := range cols {
+			colIdx = append(colIdx, j-m.colBase)
+			vals = append(vals, vs[k]*s[i])
 		}
+		rowPtr[i+1] = len(vals)
 	}
-	return out, nil
+	return newCSR(m.rows, m.cols, rowPtr, colIdx, vals), nil
 }
 
 // Diagonal returns the main diagonal as a vector of length min(rows, cols).
 func (m *CSR) Diagonal() []float64 {
-	n := m.rows
-	if m.cols < n {
-		n = m.cols
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			if int(m.colIdx[k]) == i {
-				out[i] = m.vals[k]
+	out := make([]float64, min(m.rows, m.cols))
+	for i := range out {
+		cols, vals := m.row(i)
+		for k, j := range cols {
+			if int(j-m.colBase) == i {
+				out[i] = vals[k]
 				break
 			}
 		}
@@ -336,9 +352,7 @@ func (m *CSR) Diagonal() []float64 {
 func (m *CSR) Dense() *Dense {
 	d := NewDense(m.rows, m.cols)
 	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			d.Set(i, int(m.colIdx[k]), m.vals[k])
-		}
+		m.RowNonZeros(i, func(j int, v float64) { d.Set(i, j, v) })
 	}
 	return d
 }
@@ -348,59 +362,126 @@ func (m *CSR) RowNonZeros(i int, fn func(j int, v float64)) {
 	if i < 0 || i >= m.rows {
 		panic(fmt.Sprintf("matrix: CSR row %d out of bounds for %d rows", i, m.rows))
 	}
-	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-		fn(int(m.colIdx[k]), m.vals[k])
+	cols, vals := m.row(i)
+	for k, j := range cols {
+		fn(int(j-m.colBase), vals[k])
 	}
 }
 
-// SubCSR extracts the sub-matrix with the given row and column index sets,
-// preserving sparsity, without ever densifying: a direct CSR-to-CSR copy
-// using a slice-based column position table (no maps, no re-sorting when
-// the column selection is ascending — the common case for state-class
-// index sets).
-func (m *CSR) SubCSR(rowIdx, colIdx []int) (*CSR, error) {
+// columnPositions validates a column selection of SubCSR or SubRowSums
+// and returns its position table: colPos[j] is the position of column j
+// in colIdx, or −1 when j is not selected. ascending reports whether the
+// selection keeps the columns' order, so kept entries stay sorted.
+func (m *CSR) columnPositions(colIdx []int) (colPos []int32, ascending bool, err error) {
 	if err := checkColumn("SubCSR source width", m.cols); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if err := checkColumn("SubCSR width", len(colIdx)); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	colPos := make([]int32, m.cols)
+	colPos = make([]int32, m.cols)
 	for i := range colPos {
 		colPos[i] = -1
 	}
-	ascending := true
+	ascending = true
 	for p, c := range colIdx {
 		if c < 0 || c >= m.cols {
-			return nil, fmt.Errorf("matrix: SubCSR col index %d out of bounds for %d cols", c, m.cols)
+			return nil, false, fmt.Errorf("matrix: SubCSR col index %d out of bounds for %d cols", c, m.cols)
 		}
 		if p > 0 && colIdx[p-1] >= c {
 			ascending = false
 		}
 		colPos[c] = int32(p)
 	}
-	out := &CSR{
-		rows:   len(rowIdx),
-		cols:   len(colIdx),
-		rowPtr: make([]int, len(rowIdx)+1),
+	return colPos, ascending, nil
+}
+
+// checkRow validates a row index of SubCSR or SubRowSums.
+func (m *CSR) checkRow(r int) error {
+	if r < 0 || r >= m.rows {
+		return fmt.Errorf("matrix: SubCSR row index %d out of bounds for %d rows", r, m.rows)
 	}
+	return nil
+}
+
+// SubCSR extracts the sub-matrix with the given row and column index sets,
+// preserving sparsity, without ever densifying: a direct CSR-to-CSR copy
+// using a slice-based column position table (no maps, no re-sorting when
+// the column selection is ascending — the common case for state-class
+// index sets). A first pass counts each row's kept entries, so the
+// result is allocated at its exact size.
+func (m *CSR) SubCSR(rowIdx, colIdx []int) (*CSR, error) {
+	colPos, ascending, err := m.columnPositions(colIdx)
+	if err != nil {
+		return nil, err
+	}
+	rowPtr := make([]int, len(rowIdx)+1)
 	for p, r := range rowIdx {
-		if r < 0 || r >= m.rows {
-			return nil, fmt.Errorf("matrix: SubCSR row index %d out of bounds for %d rows", r, m.rows)
+		if err := m.checkRow(r); err != nil {
+			return nil, err
 		}
-		rowStart := len(out.vals)
-		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
-			if q := colPos[m.colIdx[k]]; q >= 0 {
-				out.colIdx = append(out.colIdx, q)
-				out.vals = append(out.vals, m.vals[k])
+		cols, _ := m.row(r)
+		kept := 0
+		for _, j := range cols {
+			if colPos[j-m.colBase] >= 0 {
+				kept++
+			}
+		}
+		rowPtr[p+1] = rowPtr[p] + kept
+	}
+	nnz := rowPtr[len(rowIdx)]
+	outCols := make([]int32, nnz)
+	outVals := make([]float64, nnz)
+	for p, r := range rowIdx {
+		q := rowPtr[p]
+		cols, vals := m.row(r)
+		for k, j := range cols {
+			if c := colPos[j-m.colBase]; c >= 0 {
+				outCols[q], outVals[q] = c, vals[k]
+				q++
 			}
 		}
 		if !ascending {
 			// A reordered column selection scrambles the in-row column
 			// order; restore the CSR invariant for this row.
-			sortRowStable(out.colIdx[rowStart:], out.vals[rowStart:])
+			sortRowStable(outCols[rowPtr[p]:q], outVals[rowPtr[p]:q])
 		}
-		out.rowPtr[p+1] = len(out.vals)
+	}
+	return newCSR(len(rowIdx), len(colIdx), rowPtr, outCols, outVals), nil
+}
+
+// SubRowSums returns the row sums of m.SubCSR(rowIdx, colIdx), bit for
+// bit — each row summed in the sub-matrix's column order — without
+// building the sub-matrix: the mass that each selected row sends into
+// the selected columns.
+func (m *CSR) SubRowSums(rowIdx, colIdx []int) ([]float64, error) {
+	colPos, ascending, err := m.columnPositions(colIdx)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(rowIdx))
+	var keptCols []int32
+	var keptVals []float64
+	for p, r := range rowIdx {
+		if err := m.checkRow(r); err != nil {
+			return nil, err
+		}
+		keptCols, keptVals = keptCols[:0], keptVals[:0]
+		cols, vals := m.row(r)
+		for k, j := range cols {
+			if c := colPos[j-m.colBase]; c >= 0 {
+				keptCols = append(keptCols, c)
+				keptVals = append(keptVals, vals[k])
+			}
+		}
+		if !ascending {
+			sortRowStable(keptCols, keptVals)
+		}
+		var s float64
+		for _, a := range keptVals {
+			s += a
+		}
+		out[p] = s
 	}
 	return out, nil
 }

@@ -14,12 +14,15 @@
 //
 // -quick shrinks the slow grids for a fast smoke run. -workers 0 (the
 // default) uses one worker per CPU. -list prints the scenario catalog and
-// exits. -solver/-tol pick the analytic linear-solver backend for the
-// sweep scenarios S1-S5 (the paper-exact artifacts always use dense LU;
-// S5 defaults to auto, whose mixing probe engages the ILU(0)
-// preconditioner on slow-mixing chains).
+// exits. -solver/-tol pick the analytic linear-solver backend of every
+// scenario that solves closed forms: the paper's tables and figures, the
+// ablations, the Monte-Carlo cross-check and the sweeps. Without -solver
+// each scenario keeps its default backend (dense LU for the paper
+// artifacts, bicgstab for S3/S4/S7, auto for S5, whose mixing probe
+// engages the ILU(0) preconditioner on slow-mixing chains); -tol applies
+// either way.
 // -buildworkers sizes a dedicated pool for the row-parallel
-// transition-matrix construction of the large-state-space sweeps (S3-S5):
+// transition-matrix construction of every scenario that builds matrices:
 // 0 (the default) shares the scenario pool, 1 forces a serial
 // build, N > 1 dedicates that many workers; construction output is
 // bit-identical for any setting. -cpuprofile/-memprofile write pprof
@@ -58,9 +61,9 @@ func run(args []string, out io.Writer) error {
 		workers    = fs.Int("workers", 0, "worker pool width (0 = one per CPU)")
 		seed       = fs.Int64("seed", 1, "root seed for randomized scenarios")
 		list       = fs.Bool("list", false, "list the scenario catalog and exit")
-		solver     = fs.String("solver", "", "linear-solver backend for the sweep scenarios (S1-S5): "+strings.Join(matrix.SolverKinds(), ", "))
+		solver     = fs.String("solver", "", "linear-solver backend of every closed-form scenario (\"\" keeps each scenario's default): "+strings.Join(matrix.SolverKinds(), ", "))
 		tol        = fs.Float64("tol", 0, "iterative solver residual tolerance (0 = default)")
-		buildwkrs  = fs.Int("buildworkers", 0, "dedicated workers for transition-matrix construction in S3/S4 (0 = share -workers pool)")
+		buildwkrs  = fs.Int("buildworkers", 0, "dedicated workers for transition-matrix construction (0 = share -workers pool)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)

@@ -149,13 +149,16 @@
 // The paper's evaluation — every figure, table, ablation, validation and
 // sweep — is registered as a named scenario in internal/experiments.
 // ScenarioKeys lists them; cmd/paperrepro executes any subset
-// concurrently with -workers and -seed flags. The grid scenarios
-// (S1-S5) are paper-model grids run through the same evaluator as
-// EvaluateModelSweep, so they inherit the shared-structure amortization and cell
-// deduplication; the apt scenario (S7) runs the second model family
-// through EvaluateModelSweep the same way; every scenario honors
-// Env.Solver, Env.BuildPool and the worker pool uniformly (the
-// registry test asserts it key by key).
+// concurrently with -workers and -seed flags. The paper's tables and
+// figures 3 and 4, ablations A1/A2 and the grid scenarios (S1-S5) are
+// paper-model grids run through the same evaluator as
+// EvaluateModelSweep, so they inherit the shared-structure amortization
+// and cell deduplication; the apt scenario (S7) runs the second model
+// family through EvaluateModelSweep the same way. Only the Monte-Carlo
+// validation, Figure 5 and the swarm cross-validation build a stand-alone
+// model, because they simulate or step it. Every scenario honors
+// Env.Solver, Env.BuildPool and the worker pool uniformly (the registry
+// test asserts it key by key).
 //
 // # Quick start
 //

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"targetedattacks/internal/chainmodel"
 	"targetedattacks/internal/core"
 	"targetedattacks/internal/engine"
 	"targetedattacks/internal/matrix"
@@ -34,44 +35,39 @@ func DefaultAblationKConfig() AblationKConfig {
 
 // AblationK extends the paper's Figure 3 to every k = 1…C. The paper only
 // shows k = 1 and k = C, asserting that they bound the other protocols;
-// this ablation verifies the claim for the whole family, one (µ, k) model
-// per pool task.
+// this ablation verifies the claim for the whole family, one (µ, k) sweep
+// cell each.
 func AblationK(ctx context.Context, pool *engine.Pool, cfg AblationKConfig) (*Table, error) {
+	if len(cfg.Mus) == 0 {
+		return nil, fmt.Errorf("experiments: AblationK needs non-empty Mus")
+	}
 	t := &Table{
 		Title:   fmt.Sprintf("Ablation A2 — protocol_k for k=1…C (d=%g%%, α=δ)", cfg.D*100),
 		Columns: []string{"mu", "k", "E(T_S)", "E(T_P)"},
 		Note:    "paper (Section VII-C): protocol_1 and protocol_C bound the family",
 	}
-	type point struct {
-		mu float64
-		k  int
-	}
-	var points []point
+	var cells []chainmodel.Cell
 	for _, mu := range cfg.Mus {
 		for k := 1; k <= 7; k++ {
-			points = append(points, point{mu, k})
+			p := baseParams()
+			p.Mu, p.D, p.K, p.Nu = mu, cfg.D, k, cfg.Nu
+			cells = append(cells, p)
 		}
 	}
-	if err := gridRows(ctx, pool, t, len(points), func(i int) ([][]string, error) {
-		pt := points[i]
-		p := baseParams()
-		p.Mu, p.D, p.K, p.Nu = pt.mu, cfg.D, pt.k, cfg.Nu
-		m, err := core.NewWithSolver(p, cfg.Solver, core.WithBuildPool(cfg.BuildPool))
-		if err != nil {
-			return nil, err
-		}
-		a, err := m.AnalyzeNamed(core.DistributionDelta, 1)
-		if err != nil {
-			return nil, err
-		}
-		return [][]string{{
-			fmtPercent(pt.mu),
-			fmt.Sprintf("%d", pt.k),
-			fmtFloat(a.ExpectedSafeTime),
-			fmtFloat(a.ExpectedPollutedTime),
-		}}, nil
-	}); err != nil {
+	rs, err := evaluatePaper(ctx, pool, cfg.BuildPool, cfg.Solver, core.DistributionDelta, 1, cells)
+	if err != nil {
 		return nil, err
+	}
+	for _, cell := range rs.Cells {
+		p := cell.Cell.(core.Params)
+		if err := t.AddRow(
+			fmtPercent(p.Mu),
+			fmt.Sprintf("%d", p.K),
+			fmtFloat(cell.Analysis.TimeInA),
+			fmtFloat(cell.Analysis.TimeInB),
+		); err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
 }
@@ -102,67 +98,41 @@ func DefaultAblationNuConfig() AblationNuConfig {
 
 // AblationNu measures the sensitivity of the results to the Rule 1
 // threshold ν, which the paper leaves unspecified. For k = 1 Rule 1 never
-// fires, so only k > 1 protocols are swept. Each (k, ν) point runs on its
-// own pool task.
+// fires, so only k > 1 protocols are swept. The (k, ν) grid runs through
+// the sweep evaluator, so thresholds that select the same firing set
+// share one solve; the Rule 1 column counts the firing states from the
+// group's shared relation (2) gain table.
 func AblationNu(ctx context.Context, pool *engine.Pool, cfg AblationNuConfig) (*Table, error) {
+	if len(cfg.Nus) == 0 || len(cfg.Ks) == 0 {
+		return nil, fmt.Errorf("experiments: AblationNu needs non-empty Nus and Ks")
+	}
 	t := &Table{
 		Title:   fmt.Sprintf("Ablation A1 — ν sensitivity of Rule 1 (µ=%g%%, d=%g%%, α=δ)", cfg.Mu*100, cfg.D*100),
 		Columns: []string{"k", "nu", "E(T_S)", "E(T_P)", "rule1 states"},
 		Note:    "ν is not printed in the paper; this reproduction defaults to 0.1",
 	}
-	type point struct {
-		k  int
-		nu float64
-	}
-	var points []point
-	for _, k := range cfg.Ks {
-		for _, nu := range cfg.Nus {
-			points = append(points, point{k, nu})
-		}
-	}
-	if err := gridRows(ctx, pool, t, len(points), func(i int) ([][]string, error) {
-		pt := points[i]
-		p := baseParams()
-		p.Mu, p.D, p.K, p.Nu = cfg.Mu, cfg.D, pt.k, pt.nu
-		m, err := core.NewWithSolver(p, cfg.Solver, core.WithBuildPool(cfg.BuildPool))
-		if err != nil {
-			return nil, err
-		}
-		a, err := m.AnalyzeNamed(core.DistributionDelta, 1)
-		if err != nil {
-			return nil, err
-		}
-		fires, err := countRule1States(p)
-		if err != nil {
-			return nil, err
-		}
-		return [][]string{{
-			fmt.Sprintf("%d", pt.k),
-			fmt.Sprintf("%g", pt.nu),
-			fmtFloat(a.ExpectedSafeTime),
-			fmtFloat(a.ExpectedPollutedTime),
-			fmt.Sprintf("%d", fires),
-		}}, nil
-	}); err != nil {
+	cells, err := paperGrid(cfg.Ks, []float64{cfg.Mu}, []float64{cfg.D}, cfg.Nus)
+	if err != nil {
 		return nil, err
+	}
+	rs, err := evaluatePaper(ctx, pool, cfg.BuildPool, cfg.Solver, core.DistributionDelta, 1, cells)
+	if err != nil {
+		return nil, err
+	}
+	for _, cell := range rs.Cells {
+		p := cell.Cell.(core.Params)
+		if err := t.AddRow(
+			fmt.Sprintf("%d", p.K),
+			fmt.Sprintf("%g", p.Nu),
+			fmtFloat(cell.Analysis.TimeInA),
+			fmtFloat(cell.Analysis.TimeInB),
+			fmt.Sprintf("%d", cell.SharedTables.(*core.SweepTables).Gains(p.K).CountFires(p.Nu)),
+		); err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
 }
-
-// countRule1States counts the transient safe states in which Rule 1
-// fires, via the tabulated relation (2) gains (the gain is ν-independent,
-// so the table answers any threshold with one comparison per state; the
-// kernel cache makes repeat calls per k cheap).
-func countRule1States(p Params) (int, error) {
-	g, err := core.ComputeRule1Gains(p)
-	if err != nil {
-		return 0, err
-	}
-	return g.CountFires(p.Nu), nil
-}
-
-// Params is re-exported for the ablation helpers.
-type Params = core.Params
 
 // ValidationConfig parameterizes the Monte-Carlo cross-validation.
 type ValidationConfig struct {

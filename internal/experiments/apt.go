@@ -60,10 +60,7 @@ func APTCampaign(ctx context.Context, pool *engine.Pool, cfg APTConfig) (*Table,
 	if len(cfg.Ns) == 0 || len(cfg.Thetas) == 0 || len(cfg.Rhos) == 0 || len(cfg.Detects) == 0 {
 		return nil, fmt.Errorf("experiments: APTCampaign needs non-empty Ns, Thetas, Rhos and Detects")
 	}
-	solver := cfg.Solver
-	if solver.Kind == "" {
-		solver.Kind = "bicgstab"
-	}
+	solver := withDefaultKind(cfg.Solver, "bicgstab")
 	fam := aptchain.Family{}
 	distName, err := fam.ParseDist(cfg.Dist)
 	if err != nil {

@@ -53,6 +53,28 @@ func TestRegistryCoveredByEnvContract(t *testing.T) {
 	}
 }
 
+// TestWithDefaultKind: a tolerance or iteration cap alone keeps the
+// scenario's default backend and still reaches it; a named kind
+// overrides the default.
+func TestWithDefaultKind(t *testing.T) {
+	for _, tc := range []struct {
+		env  matrix.SolverConfig
+		def  string
+		want matrix.SolverConfig
+	}{
+		{matrix.SolverConfig{}, "auto", matrix.SolverConfig{Kind: "auto"}},
+		{matrix.SolverConfig{Tol: 1e-6}, "auto", matrix.SolverConfig{Kind: "auto", Tol: 1e-6}},
+		{matrix.SolverConfig{MaxIter: 50}, "bicgstab", matrix.SolverConfig{Kind: "bicgstab", MaxIter: 50}},
+		{matrix.SolverConfig{Kind: "ilu", Tol: 1e-8}, "auto", matrix.SolverConfig{Kind: "ilu", Tol: 1e-8}},
+		{matrix.SolverConfig{Kind: "dense"}, "bicgstab", matrix.SolverConfig{Kind: "dense"}},
+		{matrix.SolverConfig{Tol: 1e-6}, "", matrix.SolverConfig{Tol: 1e-6}},
+	} {
+		if got := withDefaultKind(tc.env, tc.def); got != tc.want {
+			t.Errorf("withDefaultKind(%+v, %q) = %+v, want %+v", tc.env, tc.def, got, tc.want)
+		}
+	}
+}
+
 // TestEveryScenarioHonorsSolver: scenarios that solve closed forms must
 // route Env.Solver to every model they build — an invalid backend has
 // to fail them, and has to be ignored by the purely structural or

@@ -158,6 +158,18 @@ func TestFigure3SmallGrid(t *testing.T) {
 	if tb.Rows[0][4] != "12.0000" || tb.Rows[0][5] != "0" {
 		t.Errorf("µ=0 row = %v", tb.Rows[0])
 	}
+	for name, bad := range map[string]func(*Figure3Config){
+		"Mus":           func(c *Figure3Config) { c.Mus = nil },
+		"Ds":            func(c *Figure3Config) { c.Ds = nil },
+		"Ks":            func(c *Figure3Config) { c.Ks = nil },
+		"Distributions": func(c *Figure3Config) { c.Distributions = nil },
+	} {
+		c := cfg
+		bad(&c)
+		if _, err := Figure3(context.Background(), nil, c); err == nil || !strings.Contains(err.Error(), "non-empty") {
+			t.Errorf("empty %s: err = %v, want a non-empty-axis error", name, err)
+		}
+	}
 }
 
 func TestFigure4SmallGrid(t *testing.T) {
@@ -175,6 +187,17 @@ func TestFigure4SmallGrid(t *testing.T) {
 	}
 	if tb.Rows[0][3] != "0.5714" || tb.Rows[0][4] != "0.4286" {
 		t.Errorf("µ=0 absorption row = %v, want 0.5714/0.4286", tb.Rows[0])
+	}
+	for name, bad := range map[string]func(*Figure4Config){
+		"Mus":           func(c *Figure4Config) { c.Mus = nil },
+		"Ds":            func(c *Figure4Config) { c.Ds = nil },
+		"Distributions": func(c *Figure4Config) { c.Distributions = nil },
+	} {
+		c := cfg
+		bad(&c)
+		if _, err := Figure4(context.Background(), nil, c); err == nil || !strings.Contains(err.Error(), "non-empty") {
+			t.Errorf("empty %s: err = %v, want a non-empty-axis error", name, err)
+		}
 	}
 }
 
@@ -223,6 +246,14 @@ func TestTable1Small(t *testing.T) {
 	if !strings.HasPrefix(tb.Rows[1][3], "699.7") {
 		t.Errorf("µ=20%% d=0.99: E(T_P) cell = %q, want 699.7…", tb.Rows[1][3])
 	}
+	for name, cfg := range map[string]Table1Config{
+		"Mus": {Ds: []float64{0.99}},
+		"Ds":  {Mus: []float64{0.2}},
+	} {
+		if _, err := Table1(context.Background(), nil, cfg); err == nil || !strings.Contains(err.Error(), "non-empty") {
+			t.Errorf("empty %s: err = %v, want a non-empty-axis error", name, err)
+		}
+	}
 }
 
 func TestTable2Small(t *testing.T) {
@@ -236,8 +267,13 @@ func TestTable2Small(t *testing.T) {
 	if len(tb.Columns) != 5 {
 		t.Fatalf("columns = %d, want 5", len(tb.Columns))
 	}
-	if _, err := Table2(context.Background(), nil, Table2Config{Mus: []float64{0}, D: 0.9, Sojourns: 0}); err == nil {
-		t.Error("Sojourns=0: want error")
+	for name, cfg := range map[string]Table2Config{
+		"Sojourns=0": {Mus: []float64{0}, D: 0.9, Sojourns: 0},
+		"empty Mus":  {D: 0.9, Sojourns: 2},
+	} {
+		if _, err := Table2(context.Background(), nil, cfg); err == nil {
+			t.Errorf("%s: want error", name)
+		}
 	}
 }
 
@@ -249,6 +285,13 @@ func TestAblationK(t *testing.T) {
 	if len(tb.Rows) != 7 {
 		t.Fatalf("rows = %d, want 7 (k=1…7)", len(tb.Rows))
 	}
+	for name, cfg := range map[string]AblationKConfig{
+		"Mus": {D: 0.9, Nu: 0.1},
+	} {
+		if _, err := AblationK(context.Background(), nil, cfg); err == nil || !strings.Contains(err.Error(), "non-empty") {
+			t.Errorf("empty %s: err = %v, want a non-empty-axis error", name, err)
+		}
+	}
 }
 
 func TestAblationNu(t *testing.T) {
@@ -258,6 +301,14 @@ func TestAblationNu(t *testing.T) {
 	}
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
+	}
+	for name, cfg := range map[string]AblationNuConfig{
+		"Nus": {Mu: 0.3, D: 0.9, Ks: []int{7}},
+		"Ks":  {Nus: []float64{0.1}, Mu: 0.3, D: 0.9},
+	} {
+		if _, err := AblationNu(context.Background(), nil, cfg); err == nil || !strings.Contains(err.Error(), "non-empty") {
+			t.Errorf("empty %s: err = %v, want a non-empty-axis error", name, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"targetedattacks/internal/chainmodel"
 	"targetedattacks/internal/combin"
 	"targetedattacks/internal/core"
 	"targetedattacks/internal/engine"
@@ -14,6 +15,13 @@ import (
 // baseParams returns the paper's evaluation configuration: C = 7, ∆ = 7.
 func baseParams() core.Params {
 	return core.Params{C: 7, Delta: 7, Mu: 0, D: 0, K: 1, Nu: 0.1}
+}
+
+// paperGrid is the (k, µ, d, ν) cross product at the paper's C = ∆ = 7,
+// in core.Grid order: k outermost, ν innermost.
+func paperGrid(ks []int, mus, ds, nus []float64) ([]chainmodel.Cell, error) {
+	base := baseParams()
+	return core.Grid([]int{base.C}, []int{base.Delta}, ks, mus, ds, nus)
 }
 
 // Figure1 regenerates the state-space census behind the paper's Figure 1:
@@ -138,19 +146,14 @@ func DefaultFigure3Config() Figure3Config {
 	}
 }
 
-// figure3Point is one cell of the Figure 3 grid.
-type figure3Point struct {
-	k    int
-	dist core.InitialDistribution
-	d    float64
-	mu   float64
-}
-
 // Figure3 regenerates the paper's Figure 3: the expected number of events
 // spent in safe and polluted transient states before absorption,
-// E(T_S^k) and E(T_P^k), as a function of µ, d, k and α. Every grid point
-// builds and solves its own model, so the sweep fans out across the pool.
+// E(T_S^k) and E(T_P^k), as a function of µ, d, k and α. Each (k, α)
+// panel is one (d, µ) sweep-evaluator plan fanned across the pool.
 func Figure3(ctx context.Context, pool *engine.Pool, cfg Figure3Config) (*Table, error) {
+	if len(cfg.Mus) == 0 || len(cfg.Ds) == 0 || len(cfg.Ks) == 0 || len(cfg.Distributions) == 0 {
+		return nil, fmt.Errorf("experiments: Figure3 needs non-empty Mus, Ds, Ks and Distributions")
+	}
 	t := &Table{
 		Title: "Figure 3 — E(T_S^k) and E(T_P^k) before absorption (C=7, ∆=7)",
 		Columns: []string{
@@ -158,38 +161,34 @@ func Figure3(ctx context.Context, pool *engine.Pool, cfg Figure3Config) (*Table,
 		},
 		Note: "paper panels: protocol_1/protocol_7 × α∈{δ,β}; bars E(T_S) hatched, E(T_P) plain",
 	}
-	var points []figure3Point
 	for _, k := range cfg.Ks {
 		for _, dist := range cfg.Distributions {
+			var cells []chainmodel.Cell
 			for _, d := range cfg.Ds {
 				for _, mu := range cfg.Mus {
-					points = append(points, figure3Point{k, dist, d, mu})
+					p := baseParams()
+					p.Mu, p.D, p.K = mu, d, k
+					cells = append(cells, p)
+				}
+			}
+			rs, err := evaluatePaper(ctx, pool, cfg.BuildPool, cfg.Solver, dist, 1, cells)
+			if err != nil {
+				return nil, err
+			}
+			for _, cell := range rs.Cells {
+				p := cell.Cell.(core.Params)
+				if err := t.AddRow(
+					fmt.Sprintf("protocol_%d", k),
+					dist.String(),
+					fmtPercent(p.D),
+					fmtPercent(p.Mu),
+					fmtFloat(cell.Analysis.TimeInA),
+					fmtFloat(cell.Analysis.TimeInB),
+				); err != nil {
+					return nil, err
 				}
 			}
 		}
-	}
-	if err := gridRows(ctx, pool, t, len(points), func(i int) ([][]string, error) {
-		pt := points[i]
-		p := baseParams()
-		p.Mu, p.D, p.K = pt.mu, pt.d, pt.k
-		m, err := core.NewWithSolver(p, cfg.Solver, core.WithBuildPool(cfg.BuildPool))
-		if err != nil {
-			return nil, err
-		}
-		a, err := m.AnalyzeNamed(pt.dist, 1)
-		if err != nil {
-			return nil, err
-		}
-		return [][]string{{
-			fmt.Sprintf("protocol_%d", pt.k),
-			pt.dist.String(),
-			fmtPercent(pt.d),
-			fmtPercent(pt.mu),
-			fmtFloat(a.ExpectedSafeTime),
-			fmtFloat(a.ExpectedPollutedTime),
-		}}, nil
-	}); err != nil {
-		return nil, err
 	}
 	return t, nil
 }
@@ -218,8 +217,11 @@ func DefaultFigure4Config() Figure4Config {
 
 // Figure4 regenerates the paper's Figure 4: absorption probabilities
 // p(A^m_S), p(A^ℓ_S), p(A^m_P) as a function of µ and d for protocol_1,
-// with the (α, d, µ) grid fanned across the pool.
+// one (d, µ) sweep-evaluator plan per α, fanned across the pool.
 func Figure4(ctx context.Context, pool *engine.Pool, cfg Figure4Config) (*Table, error) {
+	if len(cfg.Mus) == 0 || len(cfg.Ds) == 0 || len(cfg.Distributions) == 0 {
+		return nil, fmt.Errorf("experiments: Figure4 needs non-empty Mus, Ds and Distributions")
+	}
 	t := &Table{
 		Title: "Figure 4 — absorption probabilities (k=1, C=7, ∆=7)",
 		Columns: []string{
@@ -227,42 +229,34 @@ func Figure4(ctx context.Context, pool *engine.Pool, cfg Figure4Config) (*Table,
 		},
 		Note: "paper: µ=0 gives 0.57/0.43; p(polluted-merge) < 8% even at µ=30%, d=90%",
 	}
-	type point struct {
-		dist core.InitialDistribution
-		d    float64
-		mu   float64
-	}
-	var points []point
 	for _, dist := range cfg.Distributions {
+		var cells []chainmodel.Cell
 		for _, d := range cfg.Ds {
 			for _, mu := range cfg.Mus {
-				points = append(points, point{dist, d, mu})
+				p := baseParams()
+				p.Mu, p.D = mu, d
+				cells = append(cells, p)
 			}
 		}
-	}
-	if err := gridRows(ctx, pool, t, len(points), func(i int) ([][]string, error) {
-		pt := points[i]
-		p := baseParams()
-		p.Mu, p.D = pt.mu, pt.d
-		m, err := core.NewWithSolver(p, cfg.Solver, core.WithBuildPool(cfg.BuildPool))
+		rs, err := evaluatePaper(ctx, pool, cfg.BuildPool, cfg.Solver, dist, 1, cells)
 		if err != nil {
 			return nil, err
 		}
-		a, err := m.AnalyzeNamed(pt.dist, 1)
-		if err != nil {
-			return nil, err
+		for _, cell := range rs.Cells {
+			p := cell.Cell.(core.Params)
+			abs := cell.Analysis.Absorption
+			if err := t.AddRow(
+				dist.String(),
+				fmtPercent(p.D),
+				fmtPercent(p.Mu),
+				fmtFloat(abs[core.ClassNameSafeMerge]),
+				fmtFloat(abs[core.ClassNameSafeSplit]),
+				fmtFloat(abs[core.ClassNamePollutedMerge]),
+				fmtFloat(abs[core.ClassNamePollutedSplit]),
+			); err != nil {
+				return nil, err
+			}
 		}
-		return [][]string{{
-			pt.dist.String(),
-			fmtPercent(pt.d),
-			fmtPercent(pt.mu),
-			fmtFloat(a.Absorption[core.ClassNameSafeMerge]),
-			fmtFloat(a.Absorption[core.ClassNameSafeSplit]),
-			fmtFloat(a.Absorption[core.ClassNamePollutedMerge]),
-			fmtFloat(a.Absorption[core.ClassNamePollutedSplit]),
-		}}, nil
-	}); err != nil {
-		return nil, err
 	}
 	return t, nil
 }

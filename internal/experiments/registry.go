@@ -6,17 +6,18 @@ import (
 
 // This file registers the built-in scenarios: every table and figure of
 // the paper's evaluation (E1-E7), this reproduction's ablations and
-// validations (A1-A5), and the engine-enabled sweeps (S1-S4). Randomized
+// validations (A1-A5), and the engine-enabled sweeps (S1-S7). Randomized
 // scenarios take their root seed from Env.Seed (the CLIs' -seed flag);
 // Env.Quick shrinks the slow grids for smoke runs.
 //
 // Env plumbing is uniform: every scenario that solves the closed forms
-// honors Env.Solver (the CLIs' -solver/-tol flags; the zero value keeps
-// each scenario's own default, which is the paper-exact dense path for
-// E1-E7/A1-A5 and the sparse path for S3/S4), every scenario that builds
-// transition matrices honors Env.BuildPool (-buildworkers, sharing
-// Env.Pool when unset), and every grid fans its cells across Env.Pool.
-// The registry test asserts these properties scenario by scenario.
+// honors Env.Solver (the CLIs' -solver/-tol flags; an empty Kind keeps
+// each scenario's own default backend, which is the paper-exact dense
+// path for E1-E7/A1-A5, bicgstab for S3/S4/S7 and auto for S5, while Tol
+// and MaxIter always apply), every scenario that builds transition
+// matrices honors Env.BuildPool (-buildworkers, sharing Env.Pool when
+// unset), and every grid fans its cells across Env.Pool. The registry
+// test asserts these properties scenario by scenario.
 
 func init() {
 	Register(Scenario{
@@ -231,10 +232,8 @@ func init() {
 			cfg := DefaultColossalClusterConfig()
 			// The scenario's own default is the auto backend (its point is
 			// the mixing probe engaging ILU(0)); an explicit -solver still
-			// overrides it like everywhere else.
-			if env.Solver.Kind != "" {
-				cfg.Solver = env.Solver
-			}
+			// overrides it, and -tol applies either way.
+			cfg.Solver = withDefaultKind(env.Solver, cfg.Solver.Kind)
 			cfg.BuildPool = env.buildPool()
 			if env.Quick {
 				cfg.Sizes = []int{75}

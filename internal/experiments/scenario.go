@@ -20,16 +20,28 @@ type Env struct {
 	Pool  *engine.Pool
 	Seed  int64
 	Quick bool
-	// Solver overrides the analytic linear-solver backend of the sweep
-	// scenarios S1-S4 (the paper's printed figures and tables always use
-	// the exact dense path). The zero value keeps each scenario's own
-	// default.
+	// Solver is the analytic linear-solver backend of every scenario
+	// that solves closed forms: the paper's tables and figures, the
+	// ablations and validations, and the sweeps. A non-empty Kind
+	// overrides the scenario's default backend (dense for the paper
+	// artifacts, bicgstab for S3/S4/S7, auto for S5); Tol and MaxIter
+	// always apply.
 	Solver matrix.SolverConfig
 	// BuildPool supplies the workers of the row-parallel
-	// transition-matrix construction in the large-state-space sweeps (S3,
-	// S4); nil shares Pool (the CLIs' -buildworkers flag overrides it).
+	// transition-matrix construction of every scenario that builds
+	// matrices; nil shares Pool (the CLIs' -buildworkers flag overrides it).
 	// Construction output is bit-identical for any width.
 	BuildPool *engine.Pool
+}
+
+// withDefaultKind resolves a scenario's solver: sc as given, with the
+// scenario's default backend kind filled in when sc names none, so a
+// tolerance or iteration cap alone never drops the default.
+func withDefaultKind(sc matrix.SolverConfig, kind string) matrix.SolverConfig {
+	if sc.Kind == "" {
+		sc.Kind = kind
+	}
+	return sc
 }
 
 // pool returns the env's pool, defaulting to a serial one.

@@ -53,13 +53,11 @@ func NuSweep(ctx context.Context, pool *engine.Pool, cfg NuSweepConfig) (*Table,
 	if len(cfg.Nus) == 0 || len(cfg.Ks) == 0 {
 		return nil, fmt.Errorf("experiments: NuSweep needs non-empty Nus and Ks")
 	}
-	base := baseParams()
-	cells, err := core.Grid([]int{base.C}, []int{base.Delta}, cfg.Ks, []float64{cfg.Mu}, []float64{cfg.D}, cfg.Nus)
+	cells, err := paperGrid(cfg.Ks, []float64{cfg.Mu}, []float64{cfg.D}, cfg.Nus)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := sweep.EvaluateModel(ctx, sweep.ModelPlan{Family: core.Family{}, Cells: cells},
-		sweep.ModelOptions{Pool: pool, BuildPool: cfg.BuildPool, Solver: cfg.Solver})
+	rs, err := evaluatePaper(ctx, pool, cfg.BuildPool, cfg.Solver, core.DistributionDelta, 1, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -129,8 +127,7 @@ func Stress(ctx context.Context, pool *engine.Pool, cfg StressConfig) (*Table, e
 	if err != nil {
 		return nil, err
 	}
-	rs, err := sweep.EvaluateModel(ctx, sweep.ModelPlan{Family: core.Family{}, Cells: cells},
-		sweep.ModelOptions{Pool: pool, BuildPool: cfg.BuildPool, Solver: cfg.Solver})
+	rs, err := evaluatePaper(ctx, pool, cfg.BuildPool, cfg.Solver, core.DistributionDelta, 1, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -234,10 +231,7 @@ func LargeCluster(ctx context.Context, pool *engine.Pool, cfg LargeClusterConfig
 	if len(cfg.Sizes) == 0 || len(cfg.Ks) == 0 {
 		return nil, fmt.Errorf("experiments: LargeCluster needs non-empty Sizes and Ks")
 	}
-	solver := cfg.Solver
-	if solver.Kind == "" {
-		solver.Kind = "bicgstab"
-	}
+	solver := withDefaultKind(cfg.Solver, "bicgstab")
 	label := cfg.Label
 	if label == "" {
 		label = "S3 — large-cluster sparse analytics"
@@ -258,8 +252,7 @@ func LargeCluster(ctx context.Context, pool *engine.Pool, cfg LargeClusterConfig
 		if err != nil {
 			return err
 		}
-		rs, err := sweep.EvaluateModel(ctx, sweep.ModelPlan{Family: core.Family{}, Cells: cells},
-			sweep.ModelOptions{Pool: pool, BuildPool: cfg.BuildPool, Solver: solver})
+		rs, err := evaluatePaper(ctx, pool, cfg.BuildPool, solver, core.DistributionDelta, 1, cells)
 		if err != nil {
 			return err
 		}

@@ -30,44 +30,36 @@ func DefaultTable1Config() Table1Config {
 }
 
 // Table1 regenerates the paper's Table I: E(T_S^1) and E(T_P^1) as a
-// function of µ and d for k = 1, C = ∆ = 7, α = δ. The (µ, d) grid fans
-// out across the pool.
+// function of µ and d for k = 1, C = ∆ = 7, α = δ. The (µ, d) grid runs
+// through the sweep evaluator, fanned across the pool.
 func Table1(ctx context.Context, pool *engine.Pool, cfg Table1Config) (*Table, error) {
+	if len(cfg.Mus) == 0 || len(cfg.Ds) == 0 {
+		return nil, fmt.Errorf("experiments: Table1 needs non-empty Mus and Ds")
+	}
 	t := &Table{
 		Title:   "Table I — E(T_S^(1)) and E(T_P^(1)) vs µ and d (k=1, C=7, ∆=7, α=δ)",
 		Columns: []string{"mu", "d", "E(T_S)", "E(T_P)"},
 		Note: "paper prints 1518 at (µ=10%, d=0.999); computed 1.488e6 fits the " +
 			"paper's own ×7e5 column growth (see EXPERIMENTS.md)",
 	}
-	type point struct {
-		mu, d float64
-	}
-	var points []point
-	for _, mu := range cfg.Mus {
-		for _, d := range cfg.Ds {
-			points = append(points, point{mu, d})
-		}
-	}
-	if err := gridRows(ctx, pool, t, len(points), func(i int) ([][]string, error) {
-		pt := points[i]
-		p := baseParams()
-		p.Mu, p.D = pt.mu, pt.d
-		m, err := core.NewWithSolver(p, cfg.Solver, core.WithBuildPool(cfg.BuildPool))
-		if err != nil {
-			return nil, err
-		}
-		a, err := m.AnalyzeNamed(core.DistributionDelta, 1)
-		if err != nil {
-			return nil, err
-		}
-		return [][]string{{
-			fmtPercent(pt.mu),
-			fmt.Sprintf("%g", pt.d),
-			fmtFloat(a.ExpectedSafeTime),
-			fmtFloat(a.ExpectedPollutedTime),
-		}}, nil
-	}); err != nil {
+	cells, err := paperGrid([]int{1}, cfg.Mus, cfg.Ds, []float64{0.1})
+	if err != nil {
 		return nil, err
+	}
+	rs, err := evaluatePaper(ctx, pool, cfg.BuildPool, cfg.Solver, core.DistributionDelta, 1, cells)
+	if err != nil {
+		return nil, err
+	}
+	for _, cell := range rs.Cells {
+		p := cell.Cell.(core.Params)
+		if err := t.AddRow(
+			fmtPercent(p.Mu),
+			fmt.Sprintf("%g", p.D),
+			fmtFloat(cell.Analysis.TimeInA),
+			fmtFloat(cell.Analysis.TimeInB),
+		); err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
 }
@@ -95,9 +87,12 @@ func DefaultTable2Config() Table2Config {
 }
 
 // Table2 regenerates the paper's Table II: the expected durations of the
-// successive sojourns in S and P (k=1, C=7, ∆=7, d=90%, α=δ), one µ per
-// pool task.
+// successive sojourns in S and P (k=1, C=7, ∆=7, d=90%, α=δ), one
+// sweep cell per µ.
 func Table2(ctx context.Context, pool *engine.Pool, cfg Table2Config) (*Table, error) {
+	if len(cfg.Mus) == 0 {
+		return nil, fmt.Errorf("experiments: Table2 needs non-empty Mus")
+	}
 	if cfg.Sojourns < 1 {
 		return nil, fmt.Errorf("experiments: Table2 needs ≥ 1 sojourn, got %d", cfg.Sojourns)
 	}
@@ -114,28 +109,25 @@ func Table2(ctx context.Context, pool *engine.Pool, cfg Table2Config) (*Table, e
 		Note: "paper prints 0.26 at (µ=20%, E(T_P,2)); computed 0.026 matches all " +
 			"neighboring magnitudes (see EXPERIMENTS.md)",
 	}
-	if err := gridRows(ctx, pool, t, len(cfg.Mus), func(i int) ([][]string, error) {
-		mu := cfg.Mus[i]
-		p := baseParams()
-		p.Mu, p.D = mu, cfg.D
-		m, err := core.NewWithSolver(p, cfg.Solver, core.WithBuildPool(cfg.BuildPool))
-		if err != nil {
-			return nil, err
-		}
-		a, err := m.AnalyzeNamed(core.DistributionDelta, cfg.Sojourns)
-		if err != nil {
-			return nil, err
-		}
-		cells := []string{fmtPercent(mu)}
-		for _, v := range a.SafeSojourns {
-			cells = append(cells, fmtFloat(v))
-		}
-		for _, v := range a.PollutedSojourns {
-			cells = append(cells, fmtFloat(v))
-		}
-		return [][]string{cells}, nil
-	}); err != nil {
+	cells, err := paperGrid([]int{1}, cfg.Mus, []float64{cfg.D}, []float64{0.1})
+	if err != nil {
 		return nil, err
+	}
+	rs, err := evaluatePaper(ctx, pool, cfg.BuildPool, cfg.Solver, core.DistributionDelta, cfg.Sojourns, cells)
+	if err != nil {
+		return nil, err
+	}
+	for _, cell := range rs.Cells {
+		row := []string{fmtPercent(cell.Cell.(core.Params).Mu)}
+		for _, v := range cell.Analysis.SojournsA {
+			row = append(row, fmtFloat(v))
+		}
+		for _, v := range cell.Analysis.SojournsB {
+			row = append(row, fmtFloat(v))
+		}
+		if err := t.AddRow(row...); err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
 }
